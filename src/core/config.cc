@@ -33,7 +33,7 @@ bool SystemConfig::HasReplica(db::ItemId item, db::SiteId site) const {
 void SystemConfig::Normalize() {
   workload.num_sites = num_sites;
   workload.replication_degree = full_replication() ? 0 : replicas_per_item();
-  LAZYREP_CHECK(num_sites >= 1);
+  LAZYREP_CHECK(num_sites >= 1 && num_sites <= kMaxSites);
   LAZYREP_CHECK(tps > 0);
   LAZYREP_CHECK(workload.items_per_site >= 1);
   std::string topo_error;

@@ -26,6 +26,10 @@ const char* ProtocolKindName(ProtocolKind kind);
 /// implementation constants the paper leaves unspecified (documented in
 /// DESIGN.md, Substitutions).
 struct SystemConfig {
+  /// Largest num_sites: site ids are db::SiteId (uint16_t), and the graph
+  /// site's endpoint takes the id after the last site.
+  static constexpr int kMaxSites = 65534;
+
   // -- general ---------------------------------------------------------------
   int num_sites = 100;
   /// Deadlock-timeout interval (lock waits and graph-site waits), seconds.

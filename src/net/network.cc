@@ -13,7 +13,6 @@ Network::Network(sim::Simulation* sim, Topology topology,
     : sim_(sim), topology_(std::move(topology)), params_(params) {
   LAZYREP_CHECK(topology_.num_endpoints() >= 1);
   BuildLinks();
-  BuildRoutes();
 }
 
 Network::Network(sim::Simulation* sim, int num_endpoints,
@@ -49,68 +48,11 @@ void Network::BuildLinks() {
   }
 }
 
-void Network::BuildRoutes() {
-  const int endpoints = topology_.num_endpoints();
-  route_offset_.assign(static_cast<size_t>(endpoints) * endpoints, 0);
-  route_len_.assign(static_cast<size_t>(endpoints) * endpoints, 0);
-  hops_.clear();
-  std::vector<int> down_path;
-  for (db::SiteId src = 0; src < endpoints; ++src) {
-    for (db::SiteId dst = 0; dst < endpoints; ++dst) {
-      const size_t idx = static_cast<size_t>(src) * endpoints + dst;
-      route_offset_[idx] = static_cast<uint32_t>(hops_.size());
-      const int lca = LcaOf(src, dst);
-      // Up: the sender's access link, then every uplink below the LCA.
-      const EdgeParams& sup = topology_.endpoint(src).uplink;
-      hops_.push_back(
-          Hop{leaf_edges_[src].up.facility.get(), sup.up_bps, 0, sup.latency});
-      for (int g = topology_.endpoint(src).parent; g != lca;
-           g = topology_.group(g).parent) {
-        hops_.push_back(Hop{group_edges_[g].up.facility.get(),
-                            topology_.group(g).uplink.up_bps,
-                            topology_.group(g).switch_latency,
-                            topology_.group(g).uplink.latency});
-      }
-      // Down: uplinks from below the LCA to the receiver's switch (walked
-      // bottom-up, emitted top-down), then the receiver's access link.
-      down_path.clear();
-      for (int g = topology_.endpoint(dst).parent; g != lca;
-           g = topology_.group(g).parent) {
-        down_path.push_back(g);
-      }
-      for (size_t k = down_path.size(); k-- > 0;) {
-        const int g = down_path[k];
-        hops_.push_back(Hop{group_edges_[g].down.facility.get(),
-                            topology_.group(g).uplink.down_bps,
-                            topology_.group(topology_.group(g).parent)
-                                .switch_latency,
-                            topology_.group(g).uplink.latency});
-      }
-      const EdgeParams& dup = topology_.endpoint(dst).uplink;
-      hops_.push_back(
-          Hop{leaf_edges_[dst].down.facility.get(), dup.down_bps,
-              topology_.group(topology_.endpoint(dst).parent).switch_latency,
-              dup.latency});
-      route_len_[idx] =
-          static_cast<uint16_t>(hops_.size() - route_offset_[idx]);
-    }
-  }
-}
-
-int Network::LcaOf(db::SiteId a, db::SiteId b) const {
-  int x = topology_.endpoint(a).parent;
-  int y = topology_.endpoint(b).parent;
-  while (topology_.group(x).depth > topology_.group(y).depth) {
-    x = topology_.group(x).parent;
-  }
-  while (topology_.group(y).depth > topology_.group(x).depth) {
-    y = topology_.group(y).parent;
-  }
-  while (x != y) {
-    x = topology_.group(x).parent;
-    y = topology_.group(y).parent;
-  }
-  return x;
+sim::Facility* Network::FacilityOf(const Route::Hop& hop) const {
+  const Edge& edge = hop.group == Topology::kNoGroup
+                         ? leaf_edges_[hop.endpoint]
+                         : group_edges_[hop.group];
+  return (hop.up ? edge.up : edge.down).facility.get();
 }
 
 int Network::FateOf(db::SiteId src, db::SiteId dst) {
@@ -126,27 +68,28 @@ int Network::FateOf(db::SiteId src, db::SiteId dst) {
 
 sim::Task<bool> Network::Transfer(db::SiteId src, db::SiteId dst,
                                   size_t bytes) {
-  const size_t idx =
-      static_cast<size_t>(src) * topology_.num_endpoints() + dst;
-  const Hop* hop = &hops_[route_offset_[idx]];
-  const int n = route_len_[idx];
+  // Every hop after the first pays its switch latency as a delay, always
+  // scheduled (even when zero) to keep the flat star's event sequence.
+  const Route route(topology_, src, dst);
+  const int n = route.size();
   const double bits = static_cast<double>(bytes) * 8.0;
-  co_await hop[0].facility->Use(bits / hop[0].bps);
-  if (hop[0].propagation > 0) co_await sim_->Delay(hop[0].propagation);
+  Route::Hop hop = route[0];
+  co_await FacilityOf(hop)->Use(bits / hop.bps);
+  if (hop.propagation > 0) co_await sim_->Delay(hop.propagation);
   for (int k = 1; k + 1 < n; ++k) {
-    co_await sim_->Delay(hop[k].pre_delay);
-    co_await hop[k].facility->Use(bits / hop[k].bps);
-    if (hop[k].propagation > 0) co_await sim_->Delay(hop[k].propagation);
+    hop = route[k];
+    co_await sim_->Delay(hop.pre_delay);
+    co_await FacilityOf(hop)->Use(bits / hop.bps);
+    if (hop.propagation > 0) co_await sim_->Delay(hop.propagation);
   }
-  co_await sim_->Delay(hop[n - 1].pre_delay);
+  hop = route[n - 1];
+  co_await sim_->Delay(hop.pre_delay);
   int copies = FateOf(src, dst);
   if (copies == 0) co_return false;  // lost at the final switch
   for (int i = 0; i < copies; ++i) {
-    co_await hop[n - 1].facility->Use(bits / hop[n - 1].bps);
+    co_await FacilityOf(hop)->Use(bits / hop.bps);
   }
-  if (hop[n - 1].propagation > 0) {
-    co_await sim_->Delay(hop[n - 1].propagation);
-  }
+  if (hop.propagation > 0) co_await sim_->Delay(hop.propagation);
   ++messages_delivered_;
   co_return true;
 }

@@ -28,9 +28,10 @@ namespace lazyrep::net {
 /// link" rule to "every edge once per subtree that contains recipients":
 /// the switch tree replicates the packet at the last possible branch point.
 ///
-/// Routes are pre-resolved into a flat per-pair hop table at construction,
-/// and multicast bookkeeping lives in pooled per-message nodes, so the
-/// steady-state data path performs no allocation.
+/// Unicast routes are walked on demand along the two endpoints' ancestor
+/// chains (net::Route), so routing state is the tree itself, and multicast
+/// bookkeeping lives in pooled per-message nodes: the steady-state data path
+/// performs no allocation.
 class Network {
  public:
   /// Faulty-delivery hook, consulted once per delivery leg at the last
@@ -126,17 +127,6 @@ class Network {
     Link down;
   };
 
-  /// One pre-resolved routing step. The first hop of a route has no
-  /// pre-delay; every later hop pays the switch latency of the node joining
-  /// it to the previous hop (always scheduled, even when zero, to keep the
-  /// flat star's event sequence unchanged).
-  struct Hop {
-    sim::Facility* facility = nullptr;
-    double bps = 0;
-    double pre_delay = 0;
-    double propagation = 0;
-  };
-
   /// Per-multicast node: holds the shared delivery callback, the count of
   /// legs still in flight, and the reused (hierarchically grouped) recipient
   /// list. Nodes are recycled through a free list (arena-backed), so
@@ -149,14 +139,18 @@ class Network {
   };
 
   void BuildLinks();
-  void BuildRoutes();
+
+  /// The facility one route hop occupies.
+  sim::Facility* FacilityOf(const Route::Hop& hop) const;
 
   MulticastNode* AcquireNode(DeliveryFn on_delivered, int legs);
   /// Marks one leg done; recycles the node when it was the last.
   void FinishLeg(MulticastNode* node);
 
-  /// Lowest common ancestor group of two endpoints' parents.
-  int LcaOf(db::SiteId a, db::SiteId b) const;
+  /// Lowest common ancestor group of two endpoints' switches.
+  int LcaOf(db::SiteId a, db::SiteId b) const {
+    return topology_.LowestCommonAncestor(a, b);
+  }
 
   /// Arranges node->recips so that, at every switch on the way, recipients
   /// sharing a child subtree are contiguous: first stable-grouped by branch
@@ -197,11 +191,6 @@ class Network {
   std::vector<Edge> leaf_edges_;
   /// Uplink edges, indexed by group id (slot 0, the root, is unused).
   std::vector<Edge> group_edges_;
-  /// All unicast routes, concatenated; route (src, dst) occupies
-  /// hops_[route_offset_[src * E + dst] ...] for route_len_ hops.
-  std::vector<Hop> hops_;
-  std::vector<uint32_t> route_offset_;
-  std::vector<uint16_t> route_len_;
   std::vector<std::unique_ptr<MulticastNode>> node_arena_;
   MulticastNode* free_nodes_ = nullptr;
   /// Shared grouping buffer; only touched synchronously inside Multicast().

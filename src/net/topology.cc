@@ -172,30 +172,26 @@ int Topology::AncestorAt(db::SiteId endpoint, int depth) const {
   return g;
 }
 
-double Topology::PathLatency(db::SiteId src, db::SiteId dst) const {
-  if (src == dst) return 0;
-  // Lowest common ancestor of the two access switches.
-  int x = endpoints_[src].parent;
-  int y = endpoints_[dst].parent;
+int Topology::LowestCommonAncestor(db::SiteId a, db::SiteId b) const {
+  int x = endpoints_[a].parent;
+  int y = endpoints_[b].parent;
   while (groups_[x].depth > groups_[y].depth) x = groups_[x].parent;
   while (groups_[y].depth > groups_[x].depth) y = groups_[y].parent;
   while (x != y) {
     x = groups_[x].parent;
     y = groups_[y].parent;
   }
-  const int lca = x;
-  // Mirror of Network::BuildRoutes(), keeping only the fixed terms of each
-  // hop (switch residency + propagation), dropping transmission time.
-  double total = endpoints_[src].uplink.latency;  // sender's access link
-  for (int g = endpoints_[src].parent; g != lca; g = groups_[g].parent) {
-    total += groups_[g].switch_latency + groups_[g].uplink.latency;
+  return x;
+}
+
+double Topology::PathLatency(db::SiteId src, db::SiteId dst) const {
+  if (src == dst) return 0;
+  const Route route(*this, src, dst);
+  double total = 0;
+  for (int k = 0; k < route.size(); ++k) {
+    const Route::Hop hop = route[k];
+    total += hop.pre_delay + hop.propagation;
   }
-  for (int g = endpoints_[dst].parent; g != lca; g = groups_[g].parent) {
-    total += groups_[groups_[g].parent].switch_latency +
-             groups_[g].uplink.latency;
-  }
-  total += groups_[endpoints_[dst].parent].switch_latency +
-           endpoints_[dst].uplink.latency;  // final switch + access link
   return total;
 }
 
@@ -255,6 +251,48 @@ Topology Topology::Geo(const TopologySpec& spec, int num_sites,
     topo.AddEndpoint(metros[m], access);
   }
   return topo;
+}
+
+Route::Route(const Topology& topo, db::SiteId src, db::SiteId dst)
+    : topo_(&topo), src_(src), dst_(dst) {
+  lca_depth_ = topo.group(topo.LowestCommonAncestor(src, dst)).depth;
+  up_groups_ = topo.group(topo.endpoint(src).parent).depth - lca_depth_;
+  down_groups_ = topo.group(topo.endpoint(dst).parent).depth - lca_depth_;
+}
+
+Route::Hop Route::operator[](int k) const {
+  const Topology& topo = *topo_;
+  Hop hop;
+  if (k == 0) {
+    const EdgeParams& edge = topo.endpoint(src_).uplink;
+    hop.endpoint = src_;
+    hop.bps = edge.up_bps;
+    hop.propagation = edge.latency;
+  } else if (k <= up_groups_) {
+    // Uplinks, bottom-up: hop k leaves the group k - 1 levels above the
+    // sender's switch.
+    hop.group = topo.AncestorAt(src_, lca_depth_ + up_groups_ - (k - 1));
+    const Topology::Group& g = topo.group(hop.group);
+    hop.bps = g.uplink.up_bps;
+    hop.pre_delay = g.switch_latency;
+    hop.propagation = g.uplink.latency;
+  } else if (k <= up_groups_ + down_groups_) {
+    // Downlinks, top-down from just below the LCA.
+    hop.group = topo.AncestorAt(dst_, lca_depth_ + (k - up_groups_));
+    const Topology::Group& g = topo.group(hop.group);
+    hop.up = false;
+    hop.bps = g.uplink.down_bps;
+    hop.pre_delay = topo.group(g.parent).switch_latency;
+    hop.propagation = g.uplink.latency;
+  } else {
+    const Topology::Endpoint& e = topo.endpoint(dst_);
+    hop.endpoint = dst_;
+    hop.up = false;
+    hop.bps = e.uplink.down_bps;
+    hop.pre_delay = topo.group(e.parent).switch_latency;
+    hop.propagation = e.uplink.latency;
+  }
+  return hop;
 }
 
 Topology BuildTopology(const TopologySpec& spec, int num_sites,

@@ -122,11 +122,14 @@ class Topology {
   /// when the endpoint's parent is shallower than `depth`.
   int AncestorAt(db::SiteId endpoint, int depth) const;
 
+  /// Lowest common ancestor group of two endpoints' switches.
+  int LowestCommonAncestor(db::SiteId a, db::SiteId b) const;
+
   /// Fixed one-way latency of the routed src → dst path: the sum of every
-  /// switch residency and edge propagation delay along the same hops
-  /// `Network::BuildRoutes()` walks, excluding the bytes-dependent
-  /// transmission terms — i.e. a lower bound on delivering any message from
-  /// `src` to `dst`. Symmetric; zero when src == dst.
+  /// switch residency and edge propagation delay along the Route that
+  /// `Network::Transfer` charges, excluding the bytes-dependent transmission
+  /// terms — i.e. a lower bound on delivering any message from `src` to
+  /// `dst`. Symmetric; zero when src == dst.
   double PathLatency(db::SiteId src, db::SiteId dst) const;
 
   /// Minimum PathLatency over all pairs of distinct endpoints: the fastest
@@ -156,6 +159,46 @@ class Topology {
   std::vector<Group> groups_;
   std::vector<Endpoint> endpoints_;
   int max_depth_ = 0;
+};
+
+/// The unicast path from one endpoint to another, hop by hop: the sender's
+/// access link up, every uplink from the sender's switch up to the lowest
+/// common ancestor, every downlink from there to the receiver's switch, then
+/// the receiver's access link down. Hops are derived on demand from the two
+/// ancestor chains, so no route is ever stored. This is the one route walk:
+/// `Network::Transfer` charges these hops and `Topology::PathLatency` sums
+/// their fixed terms.
+class Route {
+ public:
+  struct Hop {
+    /// The edge crossed: `group`'s uplink edge, or, when group is kNoGroup,
+    /// `endpoint`'s access edge.
+    int group = Topology::kNoGroup;
+    db::SiteId endpoint = 0;
+    bool up = true;  ///< Toward the root.
+    double bps = 0;
+    /// Switch latency paid before the hop. The first hop has none; every
+    /// later hop pays the switch joining it to the previous hop.
+    double pre_delay = 0;
+    double propagation = 0;
+  };
+
+  /// `topo` must outlive the route.
+  Route(const Topology& topo, db::SiteId src, db::SiteId dst);
+
+  /// Number of hops; at least two (the two access links).
+  int size() const { return 2 + up_groups_ + down_groups_; }
+
+  /// Hop `k`, 0 <= k < size(), in travel order.
+  Hop operator[](int k) const;
+
+ private:
+  const Topology* topo_;
+  db::SiteId src_;
+  db::SiteId dst_;
+  int lca_depth_;
+  int up_groups_;    ///< Uplinks crossed from the sender's switch to the LCA.
+  int down_groups_;  ///< Downlinks crossed from the LCA to the receiver's.
 };
 
 /// Builds the topology a SystemConfig-style (spec, num_sites, params) triple

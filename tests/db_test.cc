@@ -352,6 +352,70 @@ TEST(ItemStoreTest, ReadReturnsVersionAndRegisters) {
   EXPECT_EQ(store.ReadersOf(3).size(), 0u);
 }
 
+TEST(ItemStoreTest, PriorReadersKeepRegistrationOrderAfterMidListRemove) {
+  ItemStore store(10);
+  for (TxnId reader : {100, 101, 102, 103}) store.Read(3, reader);
+  store.RemoveReader(101, {3});
+  EXPECT_EQ(store.ReadersOf(3), (std::vector<TxnId>{100, 102, 103}));
+  store.Read(3, 104);  // reuses 101's node, still appended at the tail
+  auto r = store.ApplyWrite(3, Timestamp{1.0, 42});
+  ASSERT_TRUE(r.applied);
+  EXPECT_EQ(std::vector<TxnId>(r.prior_readers.begin(), r.prior_readers.end()),
+            (std::vector<TxnId>{100, 102, 103, 104}));
+}
+
+TEST(ItemStoreTest, IgnoredWriteLeavesReadersRegistered) {
+  ItemStore store(10);
+  store.ApplyWrite(3, Timestamp{2.0, 50});
+  store.Read(3, 100);
+  store.Read(3, 101);
+  auto r = store.ApplyWrite(3, Timestamp{1.0, 42});  // TWR-ignored
+  EXPECT_FALSE(r.applied);
+  EXPECT_TRUE(r.prior_readers.empty());
+  EXPECT_EQ(store.ReadersOf(3), (std::vector<TxnId>{100, 101}));
+  // The next installed write still sees them as its prior readers.
+  r = store.ApplyWrite(3, Timestamp{3.0, 60});
+  EXPECT_EQ(r.prior_readers.size(), 2u);
+}
+
+TEST(ItemStoreTest, DuplicateRegistrationsCollapse) {
+  ItemStore store(10);
+  store.Read(3, 100);
+  store.Read(3, 101);
+  store.Read(3, 100);
+  store.Read(3, 101);
+  EXPECT_EQ(store.ReadersOf(3), (std::vector<TxnId>{100, 101}));
+  EXPECT_EQ(store.reader_pool_size(), 2u);
+  store.RemoveReader(100, {3});
+  EXPECT_EQ(store.ReadersOf(3), (std::vector<TxnId>{101}));
+}
+
+TEST(ItemStoreTest, ReaderPoolStaysAtPeakLiveRegistrations) {
+  // Each cycle: three readers register on overlapping items (at most six
+  // live registrations), a write takes one item's readers, the rest are
+  // removed. Freed nodes must be reused, not leaked.
+  constexpr size_t kPeakLive = 6;
+  ItemStore store(8);
+  for (int cycle = 0; cycle < 10000; ++cycle) {
+    const ItemId a = cycle % 8;
+    const ItemId b = (cycle + 3) % 8;
+    const TxnId base = 1 + 3 * static_cast<TxnId>(cycle);
+    for (TxnId reader = base; reader < base + 3; ++reader) {
+      store.Read(a, reader);
+      store.Read(b, reader);
+    }
+    auto r = store.ApplyWrite(a, Timestamp{static_cast<double>(cycle), base});
+    ASSERT_TRUE(r.applied);
+    ASSERT_EQ(r.prior_readers.size(), 3u);
+    for (TxnId reader = base; reader < base + 3; ++reader) {
+      store.RemoveReader(reader, {a, b});
+    }
+    ASSERT_TRUE(store.ReadersOf(a).empty());
+    ASSERT_TRUE(store.ReadersOf(b).empty());
+  }
+  EXPECT_EQ(store.reader_pool_size(), kPeakLive);
+}
+
 // ---------------------------------------------------------------------------
 // CompletionTracker
 // ---------------------------------------------------------------------------

@@ -356,6 +356,49 @@ TEST(TopologyLookaheadTest, GeoTreeMinLatencyTiersAndSymmetry) {
   EXPECT_DOUBLE_EQ(sparse.MinCrossGroupLatency(), 3 * L + 2 * U);
 }
 
+// The lookahead and the data path share one route walk: for every ordered
+// pair of distinct endpoints, the fixed terms of the Route's hops sum to
+// PathLatency, and a zero-byte Transfer (no transmission time) through a
+// Network built on the same tree arrives exactly that late.
+void ExpectRoutesMatchPathLatency(const Topology& topo) {
+  const int n = topo.num_endpoints();
+  for (SiteId src = 0; src < n; ++src) {
+    for (SiteId dst = 0; dst < n; ++dst) {
+      if (src == dst) continue;
+      SCOPED_TRACE(testing::Message() << src << " -> " << dst);
+      const Route route(topo, src, dst);
+      ASSERT_GE(route.size(), 2);
+      EXPECT_EQ(route[0].group, Topology::kNoGroup);
+      EXPECT_EQ(route[0].endpoint, src);
+      EXPECT_TRUE(route[0].up);
+      EXPECT_EQ(route[0].pre_delay, 0.0);
+      EXPECT_EQ(route[route.size() - 1].endpoint, dst);
+      EXPECT_FALSE(route[route.size() - 1].up);
+      double fixed = 0;
+      for (int k = 0; k < route.size(); ++k) {
+        fixed += route[k].pre_delay + route[k].propagation;
+      }
+      EXPECT_EQ(fixed, topo.PathLatency(src, dst));
+
+      Simulation sim;
+      Network net(&sim, topo, NetworkParams{});
+      double done = -1;
+      sim.Spawn(DoTransfer(&sim, &net, src, dst, 0, &done));
+      sim.Run();
+      EXPECT_DOUBLE_EQ(done, topo.PathLatency(src, dst));
+    }
+  }
+}
+
+TEST(TopologyLookaheadTest, RoutedHopsSumToPathLatencyOnEveryPair) {
+  NetworkParams params;
+  ExpectRoutesMatchPathLatency(Topology::Star(8, params));
+  TopologySpec spec;
+  spec.kind = TopologySpec::Kind::kGeo;  // 3 DCs x 2 metros
+  ExpectRoutesMatchPathLatency(Topology::Geo(spec, 12, params));
+  ExpectRoutesMatchPathLatency(TwoLevelTree());
+}
+
 TEST(TopologyLookaheadTest, SingleSiteHasNoCrossLatency) {
   NetworkParams params;
   Topology topo = Topology::Star(1, params);

@@ -11,6 +11,7 @@
 //               --tps=400 --csv=sweep.csv
 //   lazyrep_cli --help
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -95,6 +96,13 @@ bool FlagValue(const char* arg, const char* name, const char** value) {
     return true;
   }
   return false;
+}
+
+/// Parses all of `text` as a decimal int; false on junk or overflow.
+bool ParseWholeInt(const char* text, int* out) {
+  const char* end = text + std::strlen(text);
+  auto [ptr, ec] = std::from_chars(text, end, *out);
+  return ec == std::errc() && ptr == end && ptr != text;
 }
 
 void AppendCsv(const std::string& path, const char* protocol,
@@ -192,7 +200,11 @@ int main(int argc, char** argv) {
       config.tps = tps;
       config.total_txns = txns;
     } else if (FlagValue(a, "--sites", &v)) {
-      config.num_sites = std::atoi(v);
+      if (!ParseWholeInt(v, &config.num_sites)) {
+        std::fprintf(stderr, "bad --sites=%s: want an integer from 1 to %d\n",
+                     v, core::SystemConfig::kMaxSites);
+        return 2;
+      }
     } else if (FlagValue(a, "--items", &v)) {
       config.workload.items_per_site = std::atoi(v);
     } else if (FlagValue(a, "--tps", &v)) {
@@ -362,6 +374,14 @@ int main(int argc, char** argv) {
       protocols = {static_cast<core::ProtocolKind>(script->protocol())};
     }
     config = replay::MakeReplayConfig(*script, config, /*keep_seed=*/seed_set);
+  }
+  // Site ids are 16-bit, and every later step builds per-site state: check
+  // the count before anything is sized by it.
+  if (config.num_sites < 1 ||
+      config.num_sites > core::SystemConfig::kMaxSites) {
+    std::fprintf(stderr, "--sites=%d out of range: want 1 to %d\n",
+                 config.num_sites, core::SystemConfig::kMaxSites);
+    return 2;
   }
   // Validate fault specs against the topology System will build (sites plus
   // the auxiliary graph endpoint) for a friendly error instead of the
