@@ -557,6 +557,14 @@ sim::Task<System::ConflictEdges> System::ApplyWrites(db::SiteId s,
   co_return edges;
 }
 
+void System::ReleaseInstallLocks(db::SiteId s, const txn::Transaction& t,
+                                 size_t end) {
+  for (size_t i = 0; i < end; ++i) {
+    db::ItemId item = t.write_set[i];
+    if (config_.HasReplica(item, s)) site(s).locks.Release(t.id, item);
+  }
+}
+
 void System::Submit(db::SiteId s, sim::RandomStream* rng) {
   db::TxnId id = ++txn_counter_;
   txn::Transaction t = workload_->NextTxn(id, s, rng);

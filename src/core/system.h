@@ -23,6 +23,7 @@
 #include "rg/graph_site.h"
 #include "rg/replication_graph.h"
 #include "sim/condition.h"
+#include "sim/pool_allocator.h"
 #include "sim/process.h"
 #include "sim/random.h"
 #include "sim/simulation.h"
@@ -227,7 +228,7 @@ class System {
 
   /// Conflict edges (dependent, predecessor) discovered at a site, delivered
   /// to the completion tracker when the carrying message arrives.
-  using ConflictEdges = std::vector<std::pair<db::TxnId, db::TxnId>>;
+  using ConflictEdges = sim::PoolVector<std::pair<db::TxnId, db::TxnId>>;
   void DeliverEdges(const ConflictEdges& edges);
 
   /// Executes one operation's local cost at `s`: CPU plus a buffered page
@@ -242,7 +243,7 @@ class System {
   bool HasStaleWriteVsTerminal(const txn::Transaction& t);
 
   /// Read-version records of a lock-free (two-version) reader.
-  using ReadVersions = std::vector<std::pair<db::ItemId, db::Timestamp>>;
+  using ReadVersions = sim::PoolVector<std::pair<db::ItemId, db::Timestamp>>;
 
   /// Two-version read validation: a lock-free reader must not observe both
   /// a pre-W and a post-W version across one writer W's atomically installed
@@ -272,6 +273,12 @@ class System {
   /// disk await so no concurrent apply can interleave.
   sim::Task<ConflictEdges> ApplyWrites(db::SiteId s, const txn::Transaction& t,
                                        bool at_origin = false);
+
+  /// Releases `t`'s locks at `s` on the replica items of write_set[0, end),
+  /// in write_set order: the update locks a replica installer holds once it
+  /// has acquired its way to write_set[end].
+  void ReleaseInstallLocks(db::SiteId s, const txn::Transaction& t,
+                           size_t end);
 
   /// Test-only hook: record reads/commits for serializability checking.
   void set_history(HistoryRecorder* history) { history_ = history; }

@@ -177,7 +177,7 @@ void LockManager::Release(TxnId txn, ItemId item) {
 void LockManager::ReleaseAll(TxnId txn) {
   auto it = held_.find(txn);
   if (it == held_.end()) return;
-  std::vector<ItemId> items = std::move(it->second);
+  sim::PoolVector<ItemId> items = std::move(it->second);
   held_.erase(it);
   for (ItemId item : items) {
     auto lit = locks_.find(item);
@@ -241,7 +241,7 @@ size_t LockManager::WaiterCount(ItemId item) const {
 std::vector<ItemId> LockManager::HeldItems(TxnId txn) const {
   auto it = held_.find(txn);
   if (it == held_.end()) return {};
-  return it->second;
+  return {it->second.begin(), it->second.end()};
 }
 
 void LockManager::ResetStats() {

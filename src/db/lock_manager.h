@@ -3,11 +3,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "db/types.h"
 #include "sim/condition.h"
+#include "sim/pool_allocator.h"
 #include "sim/process.h"
 #include "sim/simulation.h"
 #include "sim/stats.h"
@@ -120,9 +120,14 @@ class LockManager {
   /// to the front). Removal (timeout path) walks from the head — queues are
   /// short, and the erased deque did the same linear scan.
   struct WaiterQueue {
-    Waiter* head = nullptr;
-    Waiter* tail = nullptr;
-    size_t size = 0;
+    // A constructor, not member initializers: the pooled lock table asks
+    // whether ItemLock is nothrow-constructible while LockManager is still
+    // incomplete, before member initializers may be parsed.
+    WaiterQueue() noexcept : head(nullptr), tail(nullptr), size(0) {}
+
+    Waiter* head;
+    Waiter* tail;
+    size_t size;
 
     bool empty() const { return head == nullptr; }
     void PushBack(Waiter* w);
@@ -134,7 +139,7 @@ class LockManager {
 
   struct ItemLock {
     // (txn, mode) pairs; small in practice.
-    std::vector<std::pair<TxnId, LockMode>> holders;
+    sim::PoolVector<std::pair<TxnId, LockMode>> holders;
     WaiterQueue queue;
   };
 
@@ -163,8 +168,12 @@ class LockManager {
   sim::Simulation* sim_;
   trace::TraceSink* trace_ = nullptr;
   uint16_t trace_site_ = 0;
-  std::unordered_map<ItemId, ItemLock> locks_;
-  std::unordered_map<TxnId, std::vector<ItemId>> held_;
+  // Every container here draws from the frame pool, so steady-state
+  // acquire/release cycles allocate nothing. The tables stay unordered_maps
+  // with the default hash: CrashReset's walk of locks_ decides the order in
+  // which cancelled waiters resume, and that order reaches the event queue.
+  sim::PoolHashMap<ItemId, ItemLock> locks_;
+  sim::PoolHashMap<TxnId, sim::PoolVector<ItemId>> held_;
   uint64_t grants_ = 0;
   uint64_t waits_ = 0;
   uint64_t timeouts_ = 0;

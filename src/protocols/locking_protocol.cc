@@ -128,7 +128,7 @@ sim::Process LockingProtocol::Installer(txn::Transaction* t, db::SiteId dst,
 
     // Local update locks for the installed items; a local deadlock aborts
     // and restarts the subtransaction (§2.1).
-    std::vector<db::ItemId> held;
+    // Locks held: update locks on the replica items of write_set[0, next).
     size_t next = 0;
     bool locked = true;
     while (next < t->write_set.size()) {
@@ -141,13 +141,11 @@ sim::Process LockingProtocol::Installer(txn::Transaction* t, db::SiteId dst,
                                                  LockMode::kUpdate,
                                                  cfg.timeout);
       if (s == WaitStatus::kSignaled) {
-        held.push_back(item);
         ++next;
         continue;
       }
       // Timeout (or cancelled by a crash wipe): restart from scratch.
-      for (db::ItemId h : held) site.locks.Release(t->id, h);
-      held.clear();
+      sys_->ReleaseInstallLocks(dst, *t, next);
       if (amnesia && sys_->SiteEpoch(dst) != epoch) {
         locked = false;  // crash mid-acquisition: back to catch-up
         break;
@@ -156,8 +154,8 @@ sim::Process LockingProtocol::Installer(txn::Transaction* t, db::SiteId dst,
     }
     if (!locked) continue;
 
-    for (size_t i = 0; i < held.size(); ++i) {
-      co_await site.cpu.Execute(cfg.op_instr);
+    for (db::ItemId item : t->write_set) {
+      if (cfg.HasReplica(item, dst)) co_await site.cpu.Execute(cfg.op_instr);
     }
     edges = co_await sys_->ApplyWrites(dst, *t);
     if (amnesia) {
@@ -169,13 +167,13 @@ sim::Process LockingProtocol::Installer(txn::Transaction* t, db::SiteId dst,
       }
       w->Append(fault::WalRecordType::kReceipt, 0);
       bool durable = co_await w->Force();
-      for (db::ItemId h : held) site.locks.Release(t->id, h);
+      sys_->ReleaseInstallLocks(dst, *t, next);
       // A crash mid-force lost the receipt: the install must re-run after
       // recovery so the redo records make it into the log.
       if (!durable || sys_->SiteEpoch(dst) != epoch) continue;
     } else {
       co_await site.disk.ForceLog(cfg.log_bytes);
-      for (db::ItemId h : held) site.locks.Release(t->id, h);
+      sys_->ReleaseInstallLocks(dst, *t, next);
     }
     break;
   }

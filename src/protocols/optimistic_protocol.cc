@@ -43,7 +43,7 @@ sim::Process OptimisticProtocol::Installer(txn::Transaction* t,
       continue;
     }
 
-    std::vector<db::ItemId> held;
+    // Locks held: update locks on the replica items of write_set[0, next).
     size_t next = 0;
     bool locked = true;
     while (next < t->write_set.size()) {
@@ -56,12 +56,10 @@ sim::Process OptimisticProtocol::Installer(txn::Transaction* t,
                                                  LockMode::kUpdate,
                                                  cfg.timeout);
       if (s == WaitStatus::kSignaled) {
-        held.push_back(item);
         ++next;
         continue;
       }
-      for (db::ItemId h : held) site.locks.Release(t->id, h);
-      held.clear();
+      sys_->ReleaseInstallLocks(dst, *t, next);
       if (amnesia && sys_->SiteEpoch(dst) != epoch) {
         locked = false;  // crash mid-acquisition: back to catch-up
         break;
@@ -70,8 +68,8 @@ sim::Process OptimisticProtocol::Installer(txn::Transaction* t,
     }
     if (!locked) continue;
 
-    for (size_t i = 0; i < held.size(); ++i) {
-      co_await site.cpu.Execute(cfg.op_instr);
+    for (db::ItemId item : t->write_set) {
+      if (cfg.HasReplica(item, dst)) co_await site.cpu.Execute(cfg.op_instr);
     }
     edges = co_await sys_->ApplyWrites(dst, *t);
     if (amnesia) {
@@ -83,11 +81,11 @@ sim::Process OptimisticProtocol::Installer(txn::Transaction* t,
       }
       w->Append(fault::WalRecordType::kReceipt, 0);
       bool durable = co_await w->Force();
-      for (db::ItemId h : held) site.locks.Release(t->id, h);
+      sys_->ReleaseInstallLocks(dst, *t, next);
       if (!durable || sys_->SiteEpoch(dst) != epoch) continue;
     } else {
       co_await site.disk.ForceLog(cfg.log_bytes);
-      for (db::ItemId h : held) site.locks.Release(t->id, h);
+      sys_->ReleaseInstallLocks(dst, *t, next);
     }
     break;
   }

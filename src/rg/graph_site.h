@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -108,9 +109,10 @@ class GraphSite {
   void EnsureRegistered(db::TxnId txn, db::SiteId origin, bool is_global);
 
   /// Runs one RGtest under the CPU, translating costs to instructions.
-  /// `bounded` selects whether the request respects the queue bound.
+  /// `bounded` selects whether the request respects the queue bound. `ops`
+  /// must stay valid until the request resolves, as `outcome` must.
   sim::Task<sim::WaitStatus> ServeTest(
-      db::TxnId txn, std::vector<db::Operation> ops, bool bounded,
+      db::TxnId txn, std::span<const db::Operation> ops, bool bounded,
       ReplicationGraph::TestOutcome* outcome);
 
   /// Parks `op` for `txn` and waits for a retest verdict or timeout.

@@ -18,11 +18,11 @@ uint64_t GroupNode(db::SiteId site, db::TxnId root) {
   return kGroupBit | (static_cast<uint64_t>(site) << 47) | root;
 }
 
-bool VecContains(const std::vector<db::ItemId>& v, db::ItemId x) {
+bool VecContains(const sim::PoolVector<db::ItemId>& v, db::ItemId x) {
   return std::find(v.begin(), v.end(), x) != v.end();
 }
 
-void EraseValue(std::vector<db::TxnId>* v, db::TxnId x) {
+void EraseValue(sim::PoolVector<db::TxnId>* v, db::TxnId x) {
   v->erase(std::remove(v->begin(), v->end(), x), v->end());
 }
 
@@ -75,14 +75,14 @@ void ReplicationGraph::Materialize(db::SiteId site, db::TxnId txn,
 
 bool ReplicationGraph::Connected(db::SiteId site, db::TxnId from_root,
                                  db::TxnId to_root, GraphCost* cost,
-                                 std::vector<db::TxnId>* path_txns) {
+                                 TxnList* path_txns) {
   const uint64_t start = GroupNode(site, from_root);
   const uint64_t target = GroupNode(site, to_root);
 
   // Iterative DFS with parent tracking for path reconstruction.
-  std::unordered_map<uint64_t, uint64_t> came_from;
+  sim::PoolHashMap<uint64_t, uint64_t> came_from;
   came_from.emplace(start, start);
-  std::vector<uint64_t> stack{start};
+  sim::PoolVector<uint64_t> stack{start};
 
   auto visit = [&](uint64_t next, uint64_t from) -> bool {
     ++cost->check_edges;
@@ -139,7 +139,7 @@ bool ReplicationGraph::Connected(db::SiteId site, db::TxnId from_root,
 
 bool ReplicationGraph::TryUnion(db::SiteId site, db::TxnId a, db::TxnId b,
                                 GraphCost* cost, bool* has_committed,
-                                std::vector<UndoUnion>* undo) {
+                                sim::PoolVector<UndoUnion>* undo) {
   TxnInfo& ia = txns_.at(a);
   TxnInfo& ib = txns_.at(b);
   Materialize(site, a, &ia);
@@ -150,7 +150,7 @@ bool ReplicationGraph::TryUnion(db::SiteId site, db::TxnId a, db::TxnId b,
 
   // Would merging close a cycle? (The two groups are already connected via
   // another part of the bipartite graph.)
-  std::vector<db::TxnId> path;
+  TxnList path;
   if (Connected(site, ra, rb, cost, &path)) {
     *has_committed = false;
     for (db::TxnId t : path) {
@@ -166,12 +166,12 @@ bool ReplicationGraph::TryUnion(db::SiteId site, db::TxnId a, db::TxnId b,
   }
 
   SitePartition& part = sites_[site];
-  std::vector<db::TxnId>& ma = part.members.at(ra);
-  std::vector<db::TxnId>& mb = part.members.at(rb);
+  TxnList& ma = part.members.at(ra);
+  TxnList& mb = part.members.at(rb);
   db::TxnId kept = ma.size() >= mb.size() ? ra : rb;
   db::TxnId absorbed = kept == ra ? rb : ra;
-  std::vector<db::TxnId>& mk = part.members.at(kept);
-  std::vector<db::TxnId>& mab = part.members.at(absorbed);
+  TxnList& mk = part.members.at(kept);
+  TxnList& mab = part.members.at(absorbed);
   undo->push_back(UndoUnion{site, kept, absorbed, mk.size()});
   mk.insert(mk.end(), mab.begin(), mab.end());
   part.parent[absorbed] = kept;
@@ -184,17 +184,17 @@ ReplicationGraph::TestOutcome ReplicationGraph::RgTest(
   LAZYREP_CHECK_MSG(it != txns_.end(), "RgTest for unknown transaction");
   TxnInfo& info = it->second;
 
-  std::vector<UndoUnion> undo_unions;
+  sim::PoolVector<UndoUnion> undo_unions;
   struct ListUndo {
-    std::vector<db::TxnId>* list;
+    TxnList* list;
     size_t old_size;
   };
   struct ItemListUndo {
-    std::vector<db::ItemId>* list;
+    ItemList* list;
     size_t old_size;
   };
-  std::vector<ListUndo> list_undo;
-  std::vector<ItemListUndo> item_undo;
+  sim::PoolVector<ListUndo> list_undo;
+  sim::PoolVector<ItemListUndo> item_undo;
   const bool had_writes = info.has_writes;
   size_t present_undo_size = SIZE_MAX;  // first growth point of `present`
 
@@ -206,7 +206,7 @@ ReplicationGraph::TestOutcome ReplicationGraph::RgTest(
       if (!VecContains(info.reads, op.item)) {
         item_undo.push_back({&info.reads, info.reads.size()});
         info.reads.push_back(op.item);
-        std::vector<db::TxnId>& rl = readers_[op.item];
+        TxnList& rl = readers_[op.item];
         list_undo.push_back({&rl, rl.size()});
         rl.push_back(txn);
       }
@@ -216,7 +216,7 @@ ReplicationGraph::TestOutcome ReplicationGraph::RgTest(
       if (wit != writers_.end()) {
         // Copy: TryUnion never mutates writer lists, but be defensive about
         // iterator stability across map rehash from readers_ insertions.
-        std::vector<db::TxnId> ws = wit->second;
+        TxnList ws = wit->second;
         for (db::TxnId w : ws) {
           if (w == txn) continue;
           if (!TryUnion(info.origin, txn, w, cost, &has_committed,
@@ -257,7 +257,7 @@ ReplicationGraph::TestOutcome ReplicationGraph::RgTest(
       if (!VecContains(info.writes, op.item)) {
         item_undo.push_back({&info.writes, info.writes.size()});
         info.writes.push_back(op.item);
-        std::vector<db::TxnId>& wl = writers_[op.item];
+        TxnList& wl = writers_[op.item];
         list_undo.push_back({&wl, wl.size()});
         wl.push_back(txn);
       }
@@ -269,7 +269,7 @@ ReplicationGraph::TestOutcome ReplicationGraph::RgTest(
       // contention "during replica propagation".)
       auto wit2 = writers_.find(op.item);
       if (wit2 != writers_.end()) {
-        std::vector<db::TxnId> ws = wit2->second;
+        TxnList ws = wit2->second;
         for (db::TxnId w : ws) {
           if (w == txn) continue;
           db::SiteId w_origin = txns_.at(w).origin;
@@ -297,7 +297,7 @@ ReplicationGraph::TestOutcome ReplicationGraph::RgTest(
       // the reader's origination site (where the read happened).
       auto rit = readers_.find(op.item);
       if (rit != readers_.end() && outcome.result != TestResult::kCycle) {
-        std::vector<db::TxnId> rs = rit->second;
+        TxnList rs = rit->second;
         for (db::TxnId r : rs) {
           if (r == txn) continue;
           if (!TryUnion(txns_.at(r).origin, txn, r, cost, &has_committed,
@@ -338,8 +338,7 @@ ReplicationGraph::TestOutcome ReplicationGraph::RgTest(
   return outcome;
 }
 
-void ReplicationGraph::Recompute(db::SiteId site,
-                                 std::vector<db::TxnId> members,
+void ReplicationGraph::Recompute(db::SiteId site, TxnList members,
                                  GraphCost* cost) {
   SitePartition& part = sites_[site];
   // Reset each member to a singleton.
@@ -352,7 +351,9 @@ void ReplicationGraph::Recompute(db::SiteId site,
     if (mi.origin == site) relevant += mi.reads.size();
     cost->add_units += relevant;
   }
-  std::unordered_set<db::TxnId> member_set(members.begin(), members.end());
+  std::unordered_set<db::TxnId, std::hash<db::TxnId>,
+                     std::equal_to<db::TxnId>, sim::PoolAllocator<db::TxnId>>
+      member_set(members.begin(), members.end());
   // Re-apply the union rule among the survivors. Splitting cannot create
   // cycles (the graph was acyclic and only lost edges), so unions here are
   // unchecked; the DFS cost is already reflected in the re-add units.
@@ -360,8 +361,8 @@ void ReplicationGraph::Recompute(db::SiteId site,
     db::TxnId ra = Find(site, a);
     db::TxnId rb = Find(site, b);
     if (ra == rb) return;
-    std::vector<db::TxnId>& ma = part.members.at(ra);
-    std::vector<db::TxnId>& mb = part.members.at(rb);
+    TxnList& ma = part.members.at(ra);
+    TxnList& mb = part.members.at(rb);
     db::TxnId kept = ma.size() >= mb.size() ? ra : rb;
     db::TxnId absorbed = kept == ra ? rb : ra;
     auto& mk = part.members.at(kept);
@@ -423,7 +424,7 @@ void ReplicationGraph::Remove(db::TxnId txn, GraphCost* cost) {
     db::TxnId root = Find(site, txn);
     auto mit = part.members.find(root);
     LAZYREP_CHECK(mit != part.members.end());
-    std::vector<db::TxnId> survivors = std::move(mit->second);
+    TxnList survivors = std::move(mit->second);
     EraseValue(&survivors, txn);
     // Clear the whole group, then rebuild the survivors' partition.
     part.members.erase(root);
@@ -458,7 +459,7 @@ std::vector<db::TxnId> ReplicationGraph::VirtualSiteMembers(db::SiteId site,
   db::TxnId root = Find(site, txn);
   auto it = sites_[site].members.find(root);
   if (it == sites_[site].members.end()) return {txn};
-  return it->second;
+  return {it->second.begin(), it->second.end()};
 }
 
 bool ReplicationGraph::IsAcyclic() {

@@ -4,11 +4,11 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "db/types.h"
+#include "sim/pool_allocator.h"
 
 namespace lazyrep::rg {
 
@@ -128,6 +128,12 @@ class ReplicationGraph {
   int num_sites() const { return num_sites_; }
 
  private:
+  // Every container the graph churns per test or per transaction draws from
+  // the frame pool; only the allocator differs from the std containers, so
+  // no map's iteration order moves.
+  using TxnList = sim::PoolVector<db::TxnId>;
+  using ItemList = sim::PoolVector<db::ItemId>;
+
   struct TxnInfo {
     db::SiteId origin = 0;
     bool is_global = false;
@@ -135,20 +141,20 @@ class ReplicationGraph {
     /// Whether this transaction has performed any write yet (global
     /// transactions get their site-spanning presence on first write).
     bool has_writes = false;
-    std::vector<db::ItemId> reads;   // read at the origin site
-    std::vector<db::ItemId> writes;  // replicated to all sites
+    ItemList reads;   // read at the origin site
+    ItemList writes;  // replicated to all sites
     /// Sites where this transaction has virtual sites under partial
     /// replication (origin + replica sites of its write set); unused when
     /// the graph models full replication.
-    std::vector<db::SiteId> present;
+    sim::PoolVector<db::SiteId> present;
     /// Sites where this transaction has a materialized union-find entry.
-    std::vector<db::SiteId> materialized;
+    sim::PoolVector<db::SiteId> materialized;
   };
 
   struct SitePartition {
-    std::unordered_map<db::TxnId, db::TxnId> parent;
+    sim::PoolHashMap<db::TxnId, db::TxnId> parent;
     /// root -> member list (materialized members only, root included).
-    std::unordered_map<db::TxnId, std::vector<db::TxnId>> members;
+    sim::PoolHashMap<db::TxnId, TxnList> members;
   };
 
   /// One tentative union, for rollback.
@@ -186,28 +192,27 @@ class ReplicationGraph {
   /// Returns false (and performs nothing) when the merge would close a
   /// cycle; sets `*has_committed` from the transactions on the cycle path.
   bool TryUnion(db::SiteId site, db::TxnId a, db::TxnId b, GraphCost* cost,
-                bool* has_committed, std::vector<UndoUnion>* undo);
+                bool* has_committed, sim::PoolVector<UndoUnion>* undo);
 
   /// DFS connectivity query between two group roots at `site`, excluding the
   /// union about to happen. Charges 117/edge via `cost`. When connected,
   /// fills `path_txns` with the transactions on the connecting path.
   bool Connected(db::SiteId site, db::TxnId from_root, db::TxnId to_root,
-                 GraphCost* cost, std::vector<db::TxnId>* path_txns);
+                 GraphCost* cost, TxnList* path_txns);
 
   /// Re-partitions `members` at `site` by re-applying the union rule
   /// (split rule). Charges re-add units.
-  void Recompute(db::SiteId site, std::vector<db::TxnId> members,
-                 GraphCost* cost);
+  void Recompute(db::SiteId site, TxnList members, GraphCost* cost);
 
   int num_sites_;
   bool full_replication_;
   ReplicaFn replica_fn_;
-  std::unordered_map<db::TxnId, TxnInfo> txns_;
+  sim::PoolHashMap<db::TxnId, TxnInfo> txns_;
   std::vector<SitePartition> sites_;
   /// item -> live global transactions writing it.
-  std::unordered_map<db::ItemId, std::vector<db::TxnId>> writers_;
+  sim::PoolHashMap<db::ItemId, TxnList> writers_;
   /// item -> live transactions that read it (each reads at its origin site).
-  std::unordered_map<db::ItemId, std::vector<db::TxnId>> readers_;
+  sim::PoolHashMap<db::ItemId, TxnList> readers_;
 };
 
 }  // namespace lazyrep::rg

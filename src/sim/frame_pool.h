@@ -4,11 +4,12 @@
 #include <cstddef>
 #include <cstdint>
 
-// The frame pool recycles coroutine-frame memory through thread-local
-// free lists, so the steady-state hot path (one frame per message leg,
-// facility use, lock acquire, ...) performs no heap allocation. Pooling is
-// disabled under ASan/TSan/MSan: recycled frames would mask use-after-free
-// and lose allocation stack traces.
+// The frame pool recycles coroutine-frame memory, and the nodes and arrays
+// of pooled containers (sim/pool_allocator.h), through thread-local free
+// lists, so the steady-state hot path (one frame per message leg, facility
+// use, lock acquire, replica install, ...) performs no heap allocation.
+// Pooling is disabled under ASan/TSan/MSan: recycled blocks would mask
+// use-after-free and lose allocation stack traces.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define LAZYREP_FRAME_POOL_DISABLED 1
 #endif
@@ -28,12 +29,18 @@ struct FramePoolStats {
 };
 
 /// Allocates `bytes` from the calling thread's frame pool. Requests above
-/// the pooled size classes fall through to ::operator new.
+/// the pooled size classes fall through to ::operator new. Users are
+/// coroutine frames and the containers of sim/pool_allocator.h.
 ///
-/// A block must be released with FramePoolFree on the SAME thread and with
-/// the same size — coroutine frames satisfy both: a simulation (and every
-/// frame it spawns) lives and dies on one worker thread, and the compiler
-/// passes the frame size to the promise's sized operator delete.
+/// A block must be released with FramePoolFree and the size it was
+/// allocated with (the compiler passes a frame's size to the promise's
+/// sized operator delete; an STL allocator passes n * sizeof(T)). It may be
+/// released on another thread: it then joins THAT thread's free list. This
+/// happens with --kernel-threads: System::Run fills the containers on
+/// worker 0, and the caller destroys the System. Each thread's free list
+/// is torn down when the thread exits, so no pooled block may be freed on
+/// a thread after its exit has begun: in particular, no pooled container
+/// may have static storage duration.
 void* FramePoolAlloc(size_t bytes);
 
 /// Returns `ptr` (of size `bytes`) to the calling thread's pool.

@@ -1,7 +1,5 @@
 #include "txn/workload.h"
 
-#include <unordered_set>
-
 #include "sim/check.h"
 
 namespace lazyrep::txn {
@@ -32,8 +30,14 @@ Transaction WorkloadGenerator::Generate(db::TxnId id, db::SiteId origin,
   const int own_lo = origin * params_.items_per_site;
   const int own_hi = own_lo + params_.items_per_site - 1;
 
-  std::unordered_set<db::ItemId> used;
-  used.reserve(num_ops * 2);
+  // The items drawn so far are those of t.ops, tens at most: a linear scan
+  // costs less than building a hash set for every transaction.
+  auto used = [&t](db::ItemId item) {
+    for (const db::Operation& o : t.ops) {
+      if (o.item == item) return true;
+    }
+    return false;
+  };
 
   for (int i = 0; i < num_ops; ++i) {
     db::Operation op;
@@ -52,10 +56,10 @@ Transaction WorkloadGenerator::Generate(db::TxnId id, db::SiteId origin,
     // A write pool of items_per_site bounds the distinct writes available;
     // fall back to a read when the pool is exhausted.
     if (op.type == db::OpType::kWrite &&
-        static_cast<int>(used.size()) >= hi - lo + 1) {
+        static_cast<int>(t.ops.size()) >= hi - lo + 1) {
       bool pool_full = true;
       for (int d = lo; d <= hi; ++d) {
-        if (!used.contains(static_cast<db::ItemId>(d))) {
+        if (!used(static_cast<db::ItemId>(d))) {
           pool_full = false;
           break;
         }
@@ -80,13 +84,12 @@ Transaction WorkloadGenerator::Generate(db::TxnId id, db::SiteId origin,
         item = static_cast<db::ItemId>(
             block * params_.items_per_site +
             rng->UniformInt(0, params_.items_per_site - 1));
-      } while (used.contains(item));
+      } while (used(item));
     } else {
       do {
         item = static_cast<db::ItemId>(rng->UniformInt(lo, hi));
-      } while (used.contains(item));
+      } while (used(item));
     }
-    used.insert(item);
     op.item = item;
     t.ops.push_back(op);
   }

@@ -9,6 +9,7 @@
 #include "db/item_store.h"
 #include "db/lock_manager.h"
 #include "db/types.h"
+#include "sim/frame_pool.h"
 #include "sim/process.h"
 #include "sim/simulation.h"
 
@@ -295,6 +296,54 @@ TEST(LockManagerTest, CrashResetKeepsSurvivorsAndCancelsWaiters) {
   sim.Spawn(AcquireLock(&sim, &lm, 4, 5, LockMode::kUpdate, 1.0, &s4, &t4));
   sim.Run(3.0);
   EXPECT_EQ(s4, WaitStatus::kSignaled);
+}
+
+/// Holder half of one lock cycle: takes update locks on items 1 and 2,
+/// releases item 1 at t+0.1 and everything at t+0.2.
+Process CycleHolder(Simulation* sim, LockManager* lm, TxnId txn,
+                    WaitStatus* status) {
+  *status = co_await lm->Acquire(txn, 1, LockMode::kUpdate, 1.0);
+  co_await lm->Acquire(txn, 2, LockMode::kUpdate, 1.0);
+  co_await sim->Delay(0.1);
+  lm->Release(txn, 1);
+  co_await sim->Delay(0.1);
+  lm->ReleaseAll(txn);
+}
+
+/// Reader half: queues behind the holder on item 1, then on item 2.
+Process CycleReader(Simulation* sim, LockManager* lm, TxnId txn,
+                    WaitStatus* status) {
+  co_await sim->Delay(0.05);
+  co_await lm->Acquire(txn, 1, LockMode::kShared, 1.0);
+  *status = co_await lm->Acquire(txn, 2, LockMode::kShared, 1.0);
+  lm->ReleaseAll(txn);
+}
+
+TEST(LockManagerTest, SteadyStateCyclesTakeNothingFreshFromThePool) {
+  // The lock table, the held index, holder lists and the Acquire frames all
+  // draw from the frame pool: once one cycle has sized it, further
+  // acquire / wait / Release / ReleaseAll cycles recycle its blocks.
+  // (Sanitizer builds disable the pool; the counters then stay 0.)
+  Simulation sim;
+  LockManager lm(&sim);
+  int bad_cycles = 0;
+  auto cycle = [&](TxnId txn) {
+    WaitStatus held = WaitStatus::kCancelled;
+    WaitStatus read = WaitStatus::kCancelled;
+    sim.Spawn(CycleHolder(&sim, &lm, txn, &held));
+    sim.Spawn(CycleReader(&sim, &lm, txn + 1, &read));
+    sim.Run();
+    if (held != WaitStatus::kSignaled || read != WaitStatus::kSignaled ||
+        lm.HolderCount(1) + lm.HolderCount(2) != 0) {
+      ++bad_cycles;
+    }
+  };
+  cycle(1);  // warm-up
+  const uint64_t fresh = sim::FramePoolThreadStats().fresh_allocs;
+  for (TxnId i = 1; i <= 10000; ++i) cycle(2 * i + 1);
+  EXPECT_EQ(bad_cycles, 0);
+  EXPECT_EQ(sim::FramePoolThreadStats().fresh_allocs, fresh);
+  EXPECT_EQ(lm.waits(), 2u * 10001);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 // Unit tests for the discrete-event simulation kernel (src/sim).
 
 #include <cmath>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,7 +11,9 @@
 #include "sim/condition.h"
 #include "sim/event_queue.h"
 #include "sim/facility.h"
+#include "sim/frame_pool.h"
 #include "sim/mailbox.h"
+#include "sim/pool_allocator.h"
 #include "sim/process.h"
 #include "sim/random.h"
 #include "sim/simulation.h"
@@ -601,6 +605,34 @@ TEST(StatsTest, FormatWithCiIsReadable) {
   std::string text = FormatWithCi(s);
   EXPECT_NE(text.find("0.5000"), std::string::npos);
   EXPECT_NE(text.find("±"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// PoolAllocator
+// ---------------------------------------------------------------------------
+
+TEST(PoolAllocatorTest, BlockFilledOnAWorkerIsFreedOnTheCaller) {
+  // A System run with --kernel-threads=2 fills its pooled containers on
+  // worker 0 and is destroyed by the calling thread; the block then joins
+  // the caller's free list.
+  auto v = std::make_unique<PoolVector<int>>();
+  std::thread worker([&v] {
+    for (int i = 0; i < 100; ++i) v->push_back(i);
+  });
+  worker.join();
+  ASSERT_EQ(v->size(), 100u);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ((*v)[i], i);
+  [[maybe_unused]] const size_t capacity = v->capacity();
+
+  v.reset();  // freed on this thread
+#ifndef LAZYREP_FRAME_POOL_DISABLED
+  const FramePoolStats before = FramePoolThreadStats();
+  PoolVector<int> again;
+  again.reserve(capacity);  // same size class: served from the free list
+  const FramePoolStats after = FramePoolThreadStats();
+  EXPECT_EQ(after.fresh_allocs, before.fresh_allocs);
+  EXPECT_EQ(after.pooled_allocs, before.pooled_allocs + 1);
+#endif
 }
 
 }  // namespace

@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "trace/trace_reader.h"
@@ -19,8 +21,14 @@
 namespace lazyrep::trace {
 namespace {
 
+/// A scratch path unique to the running test and process: ctest runs every
+/// case as its own process, in parallel under `ctest -j`, so a fixed path
+/// would be shared by racing cases.
 std::string TmpPath(const char* name) {
-  return ::testing::TempDir() + "trace_format_" + name;
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "trace_format_" + test->test_suite_name() +
+         "." + test->name() + "." + std::to_string(getpid()) + "_" + name;
 }
 
 /// splitmix64: deterministic record fuzz without touching global RNG state.

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <sys/stat.h>
 #include <vector>
 
@@ -98,11 +99,25 @@ bool FlagValue(const char* arg, const char* name, const char** value) {
   return false;
 }
 
-/// Parses all of `text` as a decimal int; false on junk or overflow.
-bool ParseWholeInt(const char* text, int* out) {
-  const char* end = text + std::strlen(text);
-  auto [ptr, ec] = std::from_chars(text, end, *out);
-  return ec == std::errc() && ptr == end && ptr != text;
+/// Parses all of `text` as a decimal number; false on junk or overflow.
+template <class T>
+bool ParseWhole(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end && !text.empty();
+}
+
+/// Parses a fraction flag's value: a number in [0, 1] (NaN fails too).
+bool ParseFraction(const char* text, double* out) {
+  return ParseWhole(text, out) && *out >= 0 && *out <= 1;
+}
+
+/// Parses --ops=MIN,MAX: two integers with 1 <= MIN <= MAX.
+bool ParseOpsRange(std::string_view text, int* lo, int* hi) {
+  size_t comma = text.find(',');
+  return comma != std::string_view::npos &&
+         ParseWhole(text.substr(0, comma), lo) &&
+         ParseWhole(text.substr(comma + 1), hi) && 1 <= *lo && *lo <= *hi;
 }
 
 void AppendCsv(const std::string& path, const char* protocol,
@@ -200,7 +215,7 @@ int main(int argc, char** argv) {
       config.tps = tps;
       config.total_txns = txns;
     } else if (FlagValue(a, "--sites", &v)) {
-      if (!ParseWholeInt(v, &config.num_sites)) {
+      if (!ParseWhole(v, &config.num_sites)) {
         std::fprintf(stderr, "bad --sites=%s: want an integer from 1 to %d\n",
                      v, core::SystemConfig::kMaxSites);
         return 2;
@@ -212,14 +227,23 @@ int main(int argc, char** argv) {
     } else if (FlagValue(a, "--txns", &v)) {
       config.total_txns = std::strtoull(v, nullptr, 10);
     } else if (FlagValue(a, "--read-fraction", &v)) {
-      config.workload.read_only_fraction = std::atof(v);
+      if (!ParseFraction(v, &config.workload.read_only_fraction)) {
+        std::fprintf(stderr, "bad --read-fraction=%s: want a number from 0 "
+                     "to 1\n", v);
+        return 2;
+      }
     } else if (FlagValue(a, "--write-fraction", &v)) {
-      config.workload.write_op_fraction = std::atof(v);
+      if (!ParseFraction(v, &config.workload.write_op_fraction)) {
+        std::fprintf(stderr, "bad --write-fraction=%s: want a number from 0 "
+                     "to 1\n", v);
+        return 2;
+      }
     } else if (FlagValue(a, "--ops", &v)) {
-      int lo = 0, hi = 0;
-      if (std::sscanf(v, "%d,%d", &lo, &hi) == 2) {
-        config.workload.min_ops = lo;
-        config.workload.max_ops = hi;
+      if (!ParseOpsRange(v, &config.workload.min_ops,
+                         &config.workload.max_ops)) {
+        std::fprintf(stderr, "bad --ops=%s: want MIN,MAX integers with "
+                     "1 <= MIN <= MAX\n", v);
+        return 2;
       }
     } else if (FlagValue(a, "--latency", &v)) {
       config.network.latency = std::atof(v);
