@@ -75,12 +75,6 @@ struct SystemConfig {
   /// Log-force payload at commit.
   size_t log_bytes = 512;
 
-  /// Record read-only response time under the optimistic protocol at the
-  /// local commit point rather than after the graph-site round trip; the
-  /// paper's reported OC-1 response ratios imply this measurement
-  /// convention (semantics unchanged; see DESIGN.md, Substitutions).
-  bool measure_ro_response_at_local_commit = true;
-
   /// Read-only transactions read without acquiring local read locks
   /// (§4.3 future work, "two-version approach"): reads never block behind
   /// replica installations and installations never wait for readers.
@@ -92,20 +86,9 @@ struct SystemConfig {
   /// its own control response. False = fully sequential round trips.
   bool pipelined_dispatch = true;
 
-  // -- eager baseline (2PC + strict 2PL; used only by ProtocolKind::kEager) ----
-  /// Distributed-deadlock resolution: after a replica-lock round times out,
-  /// retry the denied sites up to this many more times before aborting.
-  int eager_lock_retries = 2;
-  /// Base of the randomized exponential backoff between lock-round retries:
-  /// the k-th retry sleeps Uniform(0, base * 2^k) seconds.
-  double eager_backoff_base = 0.05;
-  /// How long the 2PC coordinator waits for unanimous YES votes before
-  /// presuming abort. 0 = derive from timeout and network latency.
-  double eager_vote_timeout = 0;
-  double EagerVoteTimeout() const {
-    return eager_vote_timeout > 0 ? eager_vote_timeout
-                                  : timeout + 4 * network.latency;
-  }
+  /// How long the eager 2PC coordinator waits for unanimous YES votes
+  /// before presuming abort: the lock timeout plus two round trips.
+  double EagerVoteTimeout() const { return timeout + 4 * network.latency; }
 
   // -- run control -------------------------------------------------------------
   /// Transactions submitted per run (the paper used 100,000).

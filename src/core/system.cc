@@ -557,6 +557,85 @@ sim::Task<System::ConflictEdges> System::ApplyWrites(db::SiteId s,
   co_return edges;
 }
 
+sim::Task<System::ConflictEdges> System::InstallReplica(
+    const txn::Transaction& t, db::SiteId dst) {
+  Site& st = site(dst);
+  co_await st.cpu.Execute(config_.message_instr);  // receive the propagation
+
+  // Crash epochs stay 0 without amnesia, so the epoch checks below only
+  // ever fire under amnesia crashes.
+  uint32_t epoch = SiteEpoch(dst);
+  for (;;) {
+    if (SiteEpoch(dst) != epoch) {
+      // dst crashed since the payload arrived: the staged subtransaction is
+      // gone. Log-shipping catch-up — wait for the replay to finish, let
+      // the recovered site request the missed propagation, re-ship it, and
+      // install from scratch (ApplyWrites is TWR-idempotent).
+      co_await AwaitServing(dst);
+      co_await SendCtrlAssured(dst, t.origin);  // catch-up request
+      size_t bytes = config_.propagation_overhead_bytes +
+                     t.write_set.size() * config_.item_bytes;
+      co_await SendPayloadAssured(t.origin, dst, bytes);
+      co_await st.cpu.Execute(config_.message_instr);  // receive again
+      epoch = SiteEpoch(dst);
+      ++catchup_installs_;
+      continue;
+    }
+
+    // Local update locks for the installed items; a local deadlock aborts
+    // and restarts the subtransaction (§2.1).
+    // Locks held: update locks on the replica items of write_set[0, next).
+    size_t next = 0;
+    bool locked = true;
+    while (next < t.write_set.size()) {
+      db::ItemId item = t.write_set[next];
+      if (!config_.HasReplica(item, dst)) {
+        ++next;
+        continue;
+      }
+      sim::WaitStatus s = co_await st.locks.Acquire(
+          t.id, item, db::LockMode::kUpdate, config_.timeout);
+      if (s == sim::WaitStatus::kSignaled) {
+        ++next;
+        continue;
+      }
+      // Timeout (or cancelled by a crash wipe): restart from scratch.
+      ReleaseInstallLocks(dst, t, next);
+      if (SiteEpoch(dst) != epoch) {
+        locked = false;  // crash mid-acquisition: back to catch-up
+        break;
+      }
+      next = 0;
+    }
+    if (!locked) continue;
+
+    for (db::ItemId item : t.write_set) {
+      if (config_.HasReplica(item, dst)) {
+        co_await st.cpu.Execute(config_.op_instr);
+      }
+    }
+    ConflictEdges edges = co_await ApplyWrites(dst, t);
+    if (amnesia()) {
+      fault::SiteWal* w = wals_[dst].get();
+      for (db::ItemId item : t.write_set) {
+        if (config_.HasReplica(item, dst)) {
+          w->Append(fault::WalRecordType::kItemWrite, config_.item_bytes);
+        }
+      }
+      w->Append(fault::WalRecordType::kReceipt, 0);
+      bool durable = co_await w->Force();
+      ReleaseInstallLocks(dst, t, next);
+      // A crash mid-force lost the receipt: the install must re-run after
+      // recovery so the redo records make it into the log.
+      if (!durable || SiteEpoch(dst) != epoch) continue;
+    } else {
+      co_await st.disk.ForceLog(config_.log_bytes);
+      ReleaseInstallLocks(dst, t, next);
+    }
+    co_return edges;
+  }
+}
+
 void System::ReleaseInstallLocks(db::SiteId s, const txn::Transaction& t,
                                  size_t end) {
   for (size_t i = 0; i < end; ++i) {

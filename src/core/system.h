@@ -167,10 +167,6 @@ class System {
     return s < static_cast<db::SiteId>(wals_.size()) ? wals_[s].get() : nullptr;
   }
 
-  /// Resolves once `e` is up and not mid-replay. Resolves immediately when
-  /// fault injection is off or the endpoint is already serving.
-  sim::Task<void> AwaitServing(int e);
-
   /// Commit-point durability at `t`'s origin. Amnesia mode: stages one redo
   /// record per write-set page plus the commit record and forces the WAL —
   /// resolves true only if the force completed in `t`'s birth epoch (a crash
@@ -178,8 +174,7 @@ class System {
   /// kSiteFailure). Legacy mode: the classic log force, always true.
   sim::Task<bool> ForceCommitRecord(txn::Transaction* t);
 
-  /// Recovery-metric hooks for the protocols.
-  void NoteCatchupInstall() { ++catchup_installs_; }
+  /// Recovery-metric hook for the eager protocol's 2PC participants.
   void NoteInDoubtResolved(bool committed) {
     if (committed) {
       ++indoubt_commit_;
@@ -274,11 +269,17 @@ class System {
   sim::Task<ConflictEdges> ApplyWrites(db::SiteId s, const txn::Transaction& t,
                                        bool at_origin = false);
 
-  /// Releases `t`'s locks at `s` on the replica items of write_set[0, end),
-  /// in write_set order: the update locks a replica installer holds once it
-  /// has acquired its way to write_set[end].
-  void ReleaseInstallLocks(db::SiteId s, const txn::Transaction& t,
-                           size_t end);
+  /// Installs `t`'s propagated write set at replica site `dst` as one local
+  /// subtransaction, from receiving the payload to the durable log record,
+  /// and returns the conflict edges the apply produced (the caller's ack
+  /// carries them). The subtransaction takes local update locks on the
+  /// replica items in write_set order; a local deadlock (lock timeout)
+  /// releases them and restarts it (§2.1). Under amnesia crashes, a crash
+  /// of `dst` after the payload arrived wipes the staged subtransaction:
+  /// the install waits out recovery, has the payload re-shipped and starts
+  /// over (log-shipping catch-up; ApplyWrites is TWR-idempotent).
+  sim::Task<ConflictEdges> InstallReplica(const txn::Transaction& t,
+                                          db::SiteId dst);
 
   /// Test-only hook: record reads/commits for serializability checking.
   void set_history(HistoryRecorder* history) { history_ = history; }
@@ -353,6 +354,15 @@ class System {
   sim::Process CheckpointProcess(db::SiteId s);
   /// Releases every AwaitServing waiter parked on `e`.
   void FireServingWaiters(int e);
+  /// Resolves once `e` is up and not mid-replay. Resolves immediately when
+  /// fault injection is off or the endpoint is already serving.
+  sim::Task<void> AwaitServing(int e);
+
+  /// Releases `t`'s locks at `s` on the replica items of write_set[0, end),
+  /// in write_set order: the update locks InstallReplica holds once it has
+  /// acquired its way to write_set[end].
+  void ReleaseInstallLocks(db::SiteId s, const txn::Transaction& t,
+                           size_t end);
 
   SystemConfig config_;
   ProtocolKind kind_;

@@ -12,17 +12,16 @@ using core::System;
 using db::LockMode;
 using sim::WaitStatus;
 
-void EagerProtocol::OnRegister(txn::Transaction* t) {
-  // Updates commit at the origin and at every replica target (each
-  // participant reports its subtransaction after the COMMIT-ACK lands at the
-  // origin, so completion timing covers the full ack round). Read-only
-  // transactions are entirely local.
-  int remaining = 1;
-  if (t->is_update) {
-    remaining += static_cast<int>(sys_->ReplicaTargets(*t, t->origin).size());
-  }
-  sys_->tracker().SetRemainingCommits(t->id, remaining);
-}
+namespace {
+
+/// Distributed-deadlock resolution: after a replica-lock round times out,
+/// the denied sites are retried up to this many more times before aborting.
+constexpr int kLockRetries = 2;
+/// Base of the randomized exponential backoff between lock-round retries:
+/// the k-th retry sleeps Uniform(0, kBackoffBase * 2^k) seconds.
+constexpr double kBackoffBase = 0.05;
+
+}  // namespace
 
 sim::Process EagerProtocol::LockLeg(txn::Transaction* t, db::SiteId dst,
                                     db::ItemId item, StatePtr st,
@@ -117,14 +116,14 @@ sim::Task<bool> EagerProtocol::AcquireReplicaLocks(txn::Transaction* t,
       co_return false;
     }
     if (round.denied == 0) co_return true;
-    if (attempt >= cfg.eager_lock_retries) {
+    if (attempt >= kLockRetries) {
       st->fail_cause = txn::AbortCause::kLockTimeout;
       co_return false;
     }
     // Randomized exponential backoff breaks the symmetry of a distributed
     // deadlock: whichever rival backs off longer re-requests into queues the
     // other has already drained.
-    co_await sys_->sim().Delay(st->rng.Uniform01() * cfg.eager_backoff_base *
+    co_await sys_->sim().Delay(st->rng.Uniform01() * kBackoffBase *
                                (1 << attempt));
   }
 }
@@ -368,15 +367,9 @@ sim::Process EagerProtocol::Execute(txn::Transaction* t) {
   if (targets.empty()) {
     // Degenerate partial-replication case: no replicas, one-site commit.
     sys_->StampCommitTimestamp(t);
-    if (sys_->amnesia()) {
-      if (!co_await sys_->ForceCommitRecord(t)) {
-        AbortNow(t, st, txn::AbortCause::kSiteFailure);
-        co_return;
-      }
-      co_await sys_->ApplyWrites(t->origin, *t, /*at_origin=*/true);
-    } else {
-      co_await sys_->ApplyWrites(t->origin, *t, /*at_origin=*/true);
-      co_await origin.disk.ForceLog(cfg.log_bytes);
+    if (!co_await ApplyAtOrigin(t)) {
+      AbortNow(t, st, txn::AbortCause::kSiteFailure);
+      co_return;
     }
     sys_->NoteCommitted(t);
     origin.locks.ReleaseAll(t->id);
@@ -413,15 +406,7 @@ sim::Process EagerProtocol::Execute(txn::Transaction* t) {
   // presumed abort — exactly what a recovering coordinator's log inspection
   // would conclude, since no commit record survives.
   if (sys_->LostToCrash(*t)) {
-    pc->decided = true;
-    pc->commit = false;
-    sys_->sim().Spawn(BroadcastOutcome(t->origin, pc));
-    std::erase_if(st->granted_remote,
-                  [&](const std::pair<db::SiteId, db::ItemId>& p) {
-                    int idx = pc->IndexOf(p.first);
-                    return idx >= 0 && pc->prepared[idx];
-                  });
-    AbortNow(t, st, txn::AbortCause::kSiteFailure);
+    PresumeAbort(t, st, pc, txn::AbortCause::kSiteFailure);
     co_return;
   }
 
@@ -430,27 +415,15 @@ sim::Process EagerProtocol::Execute(txn::Transaction* t) {
     // this transaction's X locks, so TWR timestamps are monotone here — no
     // stale-write certification is needed.
     sys_->StampCommitTimestamp(t);
+    // Commit decision record (redo images + commit + outcome) must be
+    // durable before the store mutates; losing the force to a crash means
+    // no commit record survives — presumed abort, like the crash above.
     if (sys_->amnesia()) {
-      // Commit decision record (redo images + commit + outcome) must be
-      // durable before the store mutates; losing the force to a crash means
-      // no commit record survives — presumed abort, like the crash above.
       sys_->wal(t->origin)->Append(fault::WalRecordType::kOutcome, 0);
-      if (!co_await sys_->ForceCommitRecord(t)) {
-        pc->decided = true;
-        pc->commit = false;
-        sys_->sim().Spawn(BroadcastOutcome(t->origin, pc));
-        std::erase_if(st->granted_remote,
-                      [&](const std::pair<db::SiteId, db::ItemId>& p) {
-                        int idx = pc->IndexOf(p.first);
-                        return idx >= 0 && pc->prepared[idx];
-                      });
-        AbortNow(t, st, txn::AbortCause::kSiteFailure);
-        co_return;
-      }
-      co_await sys_->ApplyWrites(t->origin, *t, /*at_origin=*/true);
-    } else {
-      co_await sys_->ApplyWrites(t->origin, *t, /*at_origin=*/true);
-      co_await origin.disk.ForceLog(cfg.log_bytes);  // commit decision record
+    }
+    if (!co_await ApplyAtOrigin(t)) {
+      PresumeAbort(t, st, pc, txn::AbortCause::kSiteFailure);
+      co_return;
     }
     sys_->NoteCommitted(t);
     origin.locks.ReleaseAll(t->id);
@@ -465,6 +438,11 @@ sim::Process EagerProtocol::Execute(txn::Transaction* t) {
   // Vote collection timed out (lost votes, a crashed or overloaded
   // participant): presumed abort.
   sys_->metrics().OnEagerVoteTimeout(t->measured);
+  PresumeAbort(t, st, pc, txn::AbortCause::kUnavailable);
+}
+
+void EagerProtocol::PresumeAbort(txn::Transaction* t, const StatePtr& st,
+                                 const TwoPCPtr& pc, txn::AbortCause cause) {
   pc->decided = true;
   pc->commit = false;
   sys_->sim().Spawn(BroadcastOutcome(t->origin, pc));
@@ -476,48 +454,7 @@ sim::Process EagerProtocol::Execute(txn::Transaction* t) {
                   int idx = pc->IndexOf(p.first);
                   return idx >= 0 && pc->prepared[idx];
                 });
-  AbortNow(t, st, txn::AbortCause::kUnavailable);
-}
-
-void EagerProtocol::OnCompleted(txn::Transaction* t) {
-  sys_->site(t->origin).locks.ReleaseAll(t->id);  // defensive; normally empty
-  sys_->tracker().NotifyCompletionAtSite(t->id, t->origin);
-  sys_->sim().Spawn(BroadcastCompletion(t->id, t->origin));
-}
-
-sim::Process EagerProtocol::CompleteAtSite(db::TxnId id, db::SiteId origin,
-                                           db::SiteId dst) {
-  // A lost completion notice would strand dependents' fixpoints forever.
-  co_await sys_->SendCtrlAssured(origin, dst);
-  sys_->site(dst).locks.ReleaseAll(id);
-  sys_->tracker().NotifyCompletionAtSite(id, dst);
-}
-
-sim::Process EagerProtocol::BroadcastCompletion(db::TxnId id,
-                                                db::SiteId origin) {
-  const core::SystemConfig& cfg = sys_->config();
-  std::vector<db::SiteId> others;
-  others.reserve(cfg.num_sites - 1);
-  for (int s = 0; s < cfg.num_sites; ++s) {
-    if (s != origin) others.push_back(static_cast<db::SiteId>(s));
-  }
-  if (sys_->fault_enabled()) {
-    for (db::SiteId dst : others) {
-      sys_->sim().Spawn(CompleteAtSite(id, origin, dst));
-    }
-    co_return;
-  }
-  co_await sys_->site(origin).cpu.Execute(cfg.message_instr);
-  co_await sys_->network().Multicast(
-      origin, others, cfg.ctrl_msg_bytes, [this, id](db::SiteId dst) {
-        sys_->sim().Spawn([](EagerProtocol* self, db::TxnId txn,
-                             db::SiteId site) -> sim::Process {
-          co_await self->sys_->site(site).cpu.Execute(
-              self->sys_->config().message_instr);
-          self->sys_->site(site).locks.ReleaseAll(txn);
-          self->sys_->tracker().NotifyCompletionAtSite(txn, site);
-        }(this, id, dst));
-      });
+  AbortNow(t, st, cause);
 }
 
 }  // namespace lazyrep::proto

@@ -20,7 +20,7 @@ namespace lazyrep::proto {
 ///   the network, at every replica site — all before the transaction commits.
 /// * Distributed deadlocks resolve by lock-wait timeout: a denied replica
 ///   lock round is retried after a randomized exponential backoff, up to
-///   `eager_lock_retries` times, then the transaction aborts.
+///   twice, then the transaction aborts.
 /// * Commit is a presumed-abort 2PC. The coordinator (the origination site)
 ///   multicasts PREPARE carrying the write set; participants force a prepare
 ///   log record, vote YES, and are then *in doubt* — blocked holding their
@@ -44,8 +44,12 @@ class EagerProtocol : public Protocol {
   explicit EagerProtocol(core::System* system) : Protocol(system) {}
 
   sim::Process Execute(txn::Transaction* t) override;
-  void OnRegister(txn::Transaction* t) override;
-  void OnCompleted(txn::Transaction* t) override;
+  /// Updates commit at the origin and at every replica target (each
+  /// participant reports its subtransaction after the COMMIT-ACK lands at the
+  /// origin, so completion timing covers the full ack round). Read-only
+  /// transactions are entirely local.
+  void OnRegister(txn::Transaction* t) override { CountReplicaCommits(t); }
+  void OnCompleted(txn::Transaction* t) override { CompleteEverywhere(t); }
   const char* name() const override { return "Eager"; }
 
  private:
@@ -133,17 +137,15 @@ class EagerProtocol : public Protocol {
   /// Abort path: release origin locks, queue remote releases, notify.
   void AbortNow(txn::Transaction* t, StatePtr st, txn::AbortCause cause);
 
+  /// Coordinator-side presumed abort: decides abort, sends the outcome to
+  /// the prepared targets, and aborts with `cause`.
+  void PresumeAbort(txn::Transaction* t, const StatePtr& st,
+                    const TwoPCPtr& pc, txn::AbortCause cause);
+
   /// Sends assured release notices for unprepared remote X locks.
   sim::Process ReleaseRemote(
       db::SiteId origin, db::TxnId id,
       std::vector<std::pair<db::SiteId, db::ItemId>> granted);
-
-  /// Fault-mode completion notice to one site (replaces a multicast leg).
-  sim::Process CompleteAtSite(db::TxnId id, db::SiteId origin, db::SiteId dst);
-
-  /// Multicasts the completion notice so dependents' completion fixpoints
-  /// advance at their origination sites (deferred-cascade tracking).
-  sim::Process BroadcastCompletion(db::TxnId id, db::SiteId origin);
 };
 
 }  // namespace lazyrep::proto

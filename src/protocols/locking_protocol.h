@@ -28,7 +28,7 @@ class LockingProtocol : public Protocol {
 
   sim::Process Execute(txn::Transaction* t) override;
   void OnRegister(txn::Transaction* t) override;
-  void OnCompleted(txn::Transaction* t) override;
+  void OnCompleted(txn::Transaction* t) override { CompleteEverywhere(t); }
   const char* name() const override { return "Locking"; }
 
  private:
@@ -52,29 +52,13 @@ class LockingProtocol : public Protocol {
   /// Acquires the global lock for operation `index` and fires its grant slot.
   sim::Process FetchLock(txn::Transaction* t, int index, StatePtr st);
 
-  /// Installs the write set at a remote site, acks to the origin, then
-  /// reports conflict edges and the subtransaction commit.
-  sim::Process Installer(txn::Transaction* t, db::SiteId dst,
-                         sim::Countdown* acks);
-
-  /// Fault-mode propagation: reliable per-target payload, then Installer.
-  sim::Process PropagateAndInstall(txn::Transaction* t, db::SiteId dst,
-                                   size_t bytes, sim::Countdown* acks);
-
-  /// Fault-mode completion notice to one site (replaces a multicast leg).
-  sim::Process CompleteAtSite(db::TxnId id, db::SiteId origin, db::SiteId dst);
-
   /// Abort path: release everything, notify the tracker and metrics.
   void AbortNow(txn::Transaction* t, StatePtr st, txn::AbortCause cause);
 
   /// Sends asynchronous read-lock releases for remotely held locks.
-  sim::Process ReleaseRemoteReads(db::TxnId id,
-                                  std::vector<std::pair<db::SiteId, db::ItemId>>
-                                      granted);
-
-  /// Multicasts the completion notice; receivers release the transaction's
-  /// relayed read locks and advance their local completion fixpoints.
-  sim::Process BroadcastCompletion(db::TxnId id, db::SiteId origin);
+  sim::Process ReleaseRemoteReads(
+      db::SiteId origin, db::TxnId id,
+      std::vector<std::pair<db::SiteId, db::ItemId>> granted);
 };
 
 }  // namespace lazyrep::proto

@@ -23,16 +23,9 @@ class OptimisticProtocol : public Protocol {
   explicit OptimisticProtocol(core::System* system) : Protocol(system) {}
 
   sim::Process Execute(txn::Transaction* t) override;
-  void OnRegister(txn::Transaction* t) override;
-  void OnCompleted(txn::Transaction* t) override;
+  void OnRegister(txn::Transaction* t) override { CountReplicaCommits(t); }
+  void OnCompleted(txn::Transaction* t) override { CompleteAtGraphSite(t); }
   const char* name() const override { return "Optimistic"; }
-
- private:
-  sim::Process Installer(txn::Transaction* t, db::SiteId dst);
-  /// Fault-mode propagation: reliable per-target payload, then Installer.
-  sim::Process PropagateAndInstall(txn::Transaction* t, db::SiteId dst,
-                                   size_t bytes);
-  sim::Process CompletionNotice(db::SiteId origin);
 };
 
 }  // namespace lazyrep::proto
