@@ -15,10 +15,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <sys/stat.h>
+#include <type_traits>
 #include <vector>
 
 #include "core/config.h"
@@ -107,10 +109,34 @@ bool ParseWhole(std::string_view text, T* out) {
   return ec == std::errc() && ptr == end && !text.empty();
 }
 
-/// Parses a fraction flag's value: a number in [0, 1] (NaN fails too).
-bool ParseFraction(const char* text, double* out) {
-  return ParseWhole(text, out) && *out >= 0 && *out <= 1;
+/// Parses `value`, the part of flag argument `arg` after '=', whole into
+/// `*out` and checks that it lies in [lo, hi] — in (lo, hi] with `above_lo`
+/// (NaN fails either way). Otherwise names the flag and exits 2, before any
+/// run starts.
+template <class T>
+void ParseOrDie(const char* arg, const char* value, T* out, T lo,
+                T hi = std::numeric_limits<T>::max(), bool above_lo = false) {
+  if (ParseWhole(value, out) && (above_lo ? *out > lo : *out >= lo) &&
+      *out <= hi) {
+    return;
+  }
+  char lo_text[32], hi_text[32];
+  *std::to_chars(lo_text, lo_text + sizeof(lo_text) - 1, lo).ptr = '\0';
+  *std::to_chars(hi_text, hi_text + sizeof(hi_text) - 1, hi).ptr = '\0';
+  const char* kind = std::is_integral_v<T> ? "an integer" : "a number";
+  if (hi == std::numeric_limits<T>::max()) {
+    std::fprintf(stderr, "bad %s: want %s %s %s\n", arg, kind,
+                 above_lo ? ">" : ">=", lo_text);
+  } else {
+    std::fprintf(stderr, "bad %s: want %s from %s to %s\n", arg, kind,
+                 lo_text, hi_text);
+  }
+  std::exit(2);
 }
+
+/// Bounds for ParseOrDie on a flag that takes any positive number.
+constexpr double kNoMax = std::numeric_limits<double>::max();
+constexpr bool kAboveZero = true;
 
 /// Parses --ops=MIN,MAX: two integers with 1 <= MIN <= MAX.
 bool ParseOpsRange(std::string_view text, int* lo, int* hi) {
@@ -215,29 +241,17 @@ int main(int argc, char** argv) {
       config.tps = tps;
       config.total_txns = txns;
     } else if (FlagValue(a, "--sites", &v)) {
-      if (!ParseWhole(v, &config.num_sites)) {
-        std::fprintf(stderr, "bad --sites=%s: want an integer from 1 to %d\n",
-                     v, core::SystemConfig::kMaxSites);
-        return 2;
-      }
+      ParseOrDie(a, v, &config.num_sites, 1, core::SystemConfig::kMaxSites);
     } else if (FlagValue(a, "--items", &v)) {
-      config.workload.items_per_site = std::atoi(v);
+      ParseOrDie(a, v, &config.workload.items_per_site, 1);
     } else if (FlagValue(a, "--tps", &v)) {
-      config.tps = std::atof(v);
+      ParseOrDie(a, v, &config.tps, 0.0, kNoMax, kAboveZero);
     } else if (FlagValue(a, "--txns", &v)) {
-      config.total_txns = std::strtoull(v, nullptr, 10);
+      ParseOrDie(a, v, &config.total_txns, uint64_t{1});
     } else if (FlagValue(a, "--read-fraction", &v)) {
-      if (!ParseFraction(v, &config.workload.read_only_fraction)) {
-        std::fprintf(stderr, "bad --read-fraction=%s: want a number from 0 "
-                     "to 1\n", v);
-        return 2;
-      }
+      ParseOrDie(a, v, &config.workload.read_only_fraction, 0.0, 1.0);
     } else if (FlagValue(a, "--write-fraction", &v)) {
-      if (!ParseFraction(v, &config.workload.write_op_fraction)) {
-        std::fprintf(stderr, "bad --write-fraction=%s: want a number from 0 "
-                     "to 1\n", v);
-        return 2;
-      }
+      ParseOrDie(a, v, &config.workload.write_op_fraction, 0.0, 1.0);
     } else if (FlagValue(a, "--ops", &v)) {
       if (!ParseOpsRange(v, &config.workload.min_ops,
                          &config.workload.max_ops)) {
@@ -246,9 +260,9 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (FlagValue(a, "--latency", &v)) {
-      config.network.latency = std::atof(v);
+      ParseOrDie(a, v, &config.network.latency, 0.0);
     } else if (FlagValue(a, "--bandwidth", &v)) {
-      config.network.bandwidth_bps = std::atof(v);
+      ParseOrDie(a, v, &config.network.bandwidth_bps, 0.0, kNoMax, kAboveZero);
     } else if (FlagValue(a, "--topology", &v)) {
       std::string err;
       if (!config.topology.Parse(v, &err)) {
@@ -256,15 +270,15 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else if (FlagValue(a, "--timeout", &v)) {
-      config.timeout = std::atof(v);
+      ParseOrDie(a, v, &config.timeout, 0.0, kNoMax, kAboveZero);
       config.graph.wait_timeout = config.timeout;
     } else if (FlagValue(a, "--seed", &v)) {
-      config.seed = std::strtoull(v, nullptr, 10);
+      ParseOrDie(a, v, &config.seed, uint64_t{0});
       seed_set = true;
     } else if (FlagValue(a, "--replication-degree", &v)) {
-      config.replication_degree = std::atoi(v);
+      ParseOrDie(a, v, &config.replication_degree, 0);
     } else if (FlagValue(a, "--gatekeeper", &v)) {
-      config.read_gatekeeper = std::atoi(v);
+      ParseOrDie(a, v, &config.read_gatekeeper, 0);
     } else if (std::strcmp(a, "--two-version") == 0) {
       config.two_version_reads = true;
     } else if (std::strcmp(a, "--relaxed-ownership") == 0) {
@@ -272,13 +286,13 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--sequential-dispatch") == 0) {
       config.pipelined_dispatch = false;
     } else if (FlagValue(a, "--loss", &v)) {
-      config.fault.loss_prob = std::atof(v);
+      ParseOrDie(a, v, &config.fault.loss_prob, 0.0, 1.0);
     } else if (FlagValue(a, "--dup", &v)) {
-      config.fault.dup_prob = std::atof(v);
+      ParseOrDie(a, v, &config.fault.dup_prob, 0.0, 1.0);
     } else if (FlagValue(a, "--site-mtbf", &v)) {
-      config.fault.site_mtbf = std::atof(v);
+      ParseOrDie(a, v, &config.fault.site_mtbf, 0.0);
     } else if (FlagValue(a, "--site-mttr", &v)) {
-      config.fault.site_mttr = std::atof(v);
+      ParseOrDie(a, v, &config.fault.site_mttr, 0.0);
     } else if (std::strcmp(a, "--crash-graph-site") == 0) {
       config.fault.crash_graph_site = true;
     } else if (FlagValue(a, "--crash", &v)) {
@@ -337,11 +351,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--amnesia") == 0) {
       config.fault.amnesia = true;
     } else if (FlagValue(a, "--checkpoint-interval", &v)) {
-      config.fault.checkpoint_interval = std::atof(v);
+      ParseOrDie(a, v, &config.fault.checkpoint_interval, 0.0, kNoMax,
+                 kAboveZero);
     } else if (FlagValue(a, "--retries", &v)) {
-      config.fault.max_retries = std::atoi(v);
+      ParseOrDie(a, v, &config.fault.max_retries, 0);
     } else if (FlagValue(a, "--rto", &v)) {
-      config.fault.rto_initial = std::atof(v);
+      ParseOrDie(a, v, &config.fault.rto_initial, 0.0, kNoMax, kAboveZero);
     } else if (FlagValue(a, "--csv", &v)) {
       csv_path = v;
     } else if (FlagValue(a, "--trace", &v)) {
@@ -349,12 +364,11 @@ int main(int argc, char** argv) {
     } else if (FlagValue(a, "--replay", &v)) {
       replay_path = v;
     } else if (FlagValue(a, "--replay-point", &v)) {
-      replay_point = std::atoi(v);
+      ParseOrDie(a, v, &replay_point, 0);
     } else if (FlagValue(a, "--jobs", &v)) {
-      jobs = std::atoi(v);
-      if (jobs <= 0) jobs = 0;  // 0 = hardware_concurrency
+      ParseOrDie(a, v, &jobs, 0);  // 0 = hardware_concurrency
     } else if (FlagValue(a, "--kernel-threads", &v)) {
-      config.kernel_threads = std::atoi(v);
+      ParseOrDie(a, v, &config.kernel_threads, 1);
     } else if (std::strcmp(a, "--check-serializability") == 0) {
       check_serializability = true;
     } else if (std::strcmp(a, "--quiet") == 0) {
