@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "sim/check.h"
-
 namespace lazyrep::proto {
 
 using core::System;

@@ -1,10 +1,5 @@
 #include "protocols/optimistic_protocol.h"
 
-#include <utility>
-#include <vector>
-
-#include "sim/check.h"
-
 namespace lazyrep::proto {
 
 using core::System;

@@ -1,8 +1,6 @@
 #ifndef LAZYREP_PROTOCOLS_OPTIMISTIC_PROTOCOL_H_
 #define LAZYREP_PROTOCOLS_OPTIMISTIC_PROTOCOL_H_
 
-#include <memory>
-
 #include "core/system.h"
 #include "protocols/protocol.h"
 #include "rg/graph_site.h"

@@ -1,9 +1,5 @@
 #include "protocols/pessimistic_protocol.h"
 
-#include <utility>
-
-#include "sim/check.h"
-
 namespace lazyrep::proto {
 
 using core::System;
