@@ -421,6 +421,13 @@ int main(int argc, char** argv) {
                  config.num_sites, core::SystemConfig::kMaxSites);
     return 2;
   }
+  // SystemConfig::total_items() is an int product.
+  if (int64_t{config.workload.items_per_site} * config.num_sites >
+      std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "--items=%d x --sites=%d is too many items\n",
+                 config.workload.items_per_site, config.num_sites);
+    return 2;
+  }
   // Validate fault specs against the topology System will build (sites plus
   // the auxiliary graph endpoint) for a friendly error instead of the
   // hard-check inside Normalize().
