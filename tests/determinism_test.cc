@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -136,6 +137,86 @@ TEST(TraceDeterminism, GoldenTraceFingerprint) {
   // kSubmitOp access-set records (the replayable workload script).
   EXPECT_STREQ(got, "719e7347bb1e3344");
   std::remove(path.c_str());
+}
+
+// Kernel accounting golden: the number of events each fixed run takes
+// through the executive, drain included. The constants were measured at
+// commit cb0acd7; an event-count change means the schedule itself changed.
+// One star OC-3-flavoured run per protocol, plus one 3-DC geo run with
+// loss, duplication, amnesia crashes and a dc0 partition, so the freeze,
+// drain and crash-recovery paths all count.
+uint64_t KernelEvents(const SystemConfig& c, ProtocolKind kind,
+                      MetricsSnapshot* snap) {
+  System system(c, kind);
+  *snap = system.Run();
+  return system.sim().events_fired();
+}
+
+SystemConfig AccountingOc3(uint64_t seed) {
+  SystemConfig c = SystemConfig::Oc3();
+  c.num_sites = 20;
+  c.tps = 400;
+  c.total_txns = 600;
+  c.seed = seed;
+  c.Normalize();
+  return c;
+}
+
+SystemConfig AccountingGeo(uint64_t seed) {
+  SystemConfig c;
+  c.num_sites = 24;
+  c.workload.items_per_site = 20;
+  c.tps = 300;
+  c.total_txns = 900;
+  c.topology.kind = net::TopologySpec::Kind::kGeo;
+  c.topology.datacenters = 3;
+  c.topology.metros_per_dc = 2;
+  c.topology.backbone_latency = 0.03;
+  c.fault.loss_prob = 0.01;
+  c.fault.dup_prob = 0.005;
+  c.fault.site_mtbf = 10;
+  c.fault.site_mttr = 1;
+  c.fault.amnesia = true;
+  fault::ScheduledPartition part;
+  part.groups = {"dc0"};
+  part.at = 1.0;
+  part.duration = 1.0;
+  c.fault.partitions.push_back(std::move(part));
+  c.seed = seed;
+  c.Normalize();
+  return c;
+}
+
+TEST(KernelAccounting, StarRunsTakeTheGoldenEventCount) {
+  const std::pair<ProtocolKind, uint64_t> kGolden[] = {
+      {ProtocolKind::kLocking, 235048},
+      {ProtocolKind::kPessimistic, 160075},
+      {ProtocolKind::kOptimistic, 63243},
+      {ProtocolKind::kEager, 183290},
+  };
+  for (const auto& [kind, golden] : kGolden) {
+    MetricsSnapshot snap;
+    EXPECT_EQ(KernelEvents(AccountingOc3(31), kind, &snap), golden)
+        << ProtocolKindName(kind);
+    EXPECT_GT(snap.completed, 0u) << ProtocolKindName(kind);
+  }
+}
+
+TEST(KernelAccounting, GeoFaultRunsTakeTheGoldenEventCount) {
+  const std::pair<ProtocolKind, uint64_t> kGolden[] = {
+      {ProtocolKind::kLocking, 1407485},
+      {ProtocolKind::kEager, 1050466},
+  };
+  for (const auto& [kind, golden] : kGolden) {
+    MetricsSnapshot snap;
+    EXPECT_EQ(KernelEvents(AccountingGeo(37), kind, &snap), golden)
+        << ProtocolKindName(kind);
+    // Every fault path the count is meant to cover actually ran.
+    EXPECT_GT(snap.faults_injected_loss, 0u) << ProtocolKindName(kind);
+    EXPECT_GT(snap.faults_injected_dup, 0u) << ProtocolKindName(kind);
+    EXPECT_GT(snap.site_recoveries, 0u) << ProtocolKindName(kind);
+    EXPECT_GT(snap.faults_injected_partition, 0u) << ProtocolKindName(kind);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, Determinism,
