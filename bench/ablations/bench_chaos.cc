@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "core/config.h"
+#include "core/flag_parse.h"
 #include "core/study.h"
 #include "core/system.h"
 
@@ -51,23 +52,24 @@ ChaosCli ParseChaosCli(int argc, char** argv, const core::BenchOptions& opt) {
   cli.chaos.seed = opt.seed;
   // Chaos runs want many short schedules, so the per-schedule transaction
   // count defaults low (ChaosOptions); LAZYREP_TXNS and --txns= override.
+  // BenchOptions::Parse has already range-checked both.
   if (const char* env = std::getenv("LAZYREP_TXNS")) {
-    cli.chaos.txns = std::strtoull(env, nullptr, 10);
+    core::ParseWhole(env, &cli.chaos.txns);
   }
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strncmp(a, "--schedules=", 12) == 0) {
-      cli.schedules = std::atoi(a + 12);
+      core::ParseOrDie(a, a + 12, &cli.schedules, 1);
     } else if (std::strncmp(a, "--chaos-schedules=", 18) == 0) {
-      cli.schedules = std::atoi(a + 18);
+      core::ParseOrDie(a, a + 18, &cli.schedules, 1);
     } else if (std::strncmp(a, "--first=", 8) == 0) {
-      cli.first = std::atoi(a + 8);
+      core::ParseOrDie(a, a + 8, &cli.first, 0);
     } else if (std::strcmp(a, "--check") == 0) {
       cli.check = true;
     } else if (std::strcmp(a, "--a9") == 0) {
       cli.a9 = true;
     } else if (std::strncmp(a, "--txns=", 7) == 0) {
-      cli.chaos.txns = std::strtoull(a + 7, nullptr, 10);
+      core::ParseWhole(a + 7, &cli.chaos.txns);
     }
   }
   return cli;

@@ -5,8 +5,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <string>
 #include <utility>
 
+#include "core/flag_parse.h"
 #include "core/history.h"
 #include "core/parallel.h"
 #include "core/system.h"
@@ -275,31 +277,33 @@ void PrintFigure(const std::vector<StudyPoint>& points,
 
 BenchOptions BenchOptions::Parse(int argc, char** argv) {
   BenchOptions opt;
-  if (const char* env = std::getenv("LAZYREP_TXNS")) {
-    opt.txns = std::strtoull(env, nullptr, 10);
-  }
-  if (const char* env = std::getenv("LAZYREP_JOBS")) {
-    opt.jobs = std::atoi(env);
-  }
-  if (const char* env = std::getenv("LAZYREP_KERNEL_THREADS")) {
-    opt.kernel_threads = std::atoi(env);
-  }
+  // Every numeric input is parsed whole and range-checked; a bad one exits 2
+  // naming it, before any run starts.
+  auto from_env = [](const char* name, auto* out, auto lo) {
+    if (const char* v = std::getenv(name)) {
+      ParseOrDie((std::string(name) + "=" + v).c_str(), v, out, lo);
+    }
+  };
+  from_env("LAZYREP_TXNS", &opt.txns, uint64_t{1});
+  from_env("LAZYREP_JOBS", &opt.jobs, 0);  // 0 = hardware_concurrency
+  from_env("LAZYREP_KERNEL_THREADS", &opt.kernel_threads, 1);
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strncmp(a, "--txns=", 7) == 0) {
-      opt.txns = std::strtoull(a + 7, nullptr, 10);
+      ParseOrDie(a, a + 7, &opt.txns, uint64_t{1});
     } else if (std::strncmp(a, "--points=", 9) == 0) {
-      opt.max_points = std::atoi(a + 9);
+      ParseOrDie(a, a + 9, &opt.max_points, 0);
     } else if (std::strncmp(a, "--figure=", 9) == 0) {
-      opt.figure = std::atoi(a + 9);
+      ParseOrDie(a, a + 9, &opt.figure, 0);
     } else if (std::strncmp(a, "--seed=", 7) == 0) {
-      opt.seed = std::strtoull(a + 7, nullptr, 10);
+      ParseOrDie(a, a + 7, &opt.seed, uint64_t{0});
     } else if (std::strncmp(a, "--jobs=", 7) == 0) {
-      opt.jobs = std::atoi(a + 7);
+      ParseOrDie(a, a + 7, &opt.jobs, 0);
     } else if (std::strncmp(a, "--kernel-threads=", 17) == 0) {
-      opt.kernel_threads = std::atoi(a + 17);
+      ParseOrDie(a, a + 17, &opt.kernel_threads, 1);
     } else if (std::strncmp(a, "--sites=", 8) == 0) {
-      opt.sites = std::atoi(a + 8);
+      // 0 keeps the preset's fleet.
+      ParseOrDie(a, a + 8, &opt.sites, 0, SystemConfig::kMaxSites);
     } else if (std::strcmp(a, "--quick") == 0) {
       opt.quick = true;
     } else if (std::strncmp(a, "--trace=", 8) == 0) {

@@ -652,6 +652,14 @@ void System::Submit(db::SiteId s, sim::RandomStream* rng) {
   t.born_epoch = amnesia() ? site_epochs_[s] : 0;
   ++submitted_;
   ++site_submitted_[s];
+  if (submitted_ >= config_.total_txns) {
+    // RunInline stops between Steps once done_ is set. End this Step with
+    // the current handler so no inlined continuation runs past the last
+    // submission: the snapshot freezes where it would with every resume
+    // queued.
+    done_ = true;
+    sim_.EndStep();
+  }
   if (!window_open_ &&
       submitted_ >=
           static_cast<uint64_t>(config_.warmup_per_site) * config_.num_sites) {
@@ -683,7 +691,6 @@ void System::Submit(db::SiteId s, sim::RandomStream* rng) {
     // the gate slot NoteAborted's GateRelease will return.
     if (config_.read_gatekeeper > 0 && !ptr->is_update) ++gate_running_[s];
     NoteAborted(ptr, txn::AbortCause::kUnavailable);
-    if (submitted_ >= config_.total_txns) done_ = true;
     return;
   }
 
@@ -693,7 +700,6 @@ void System::Submit(db::SiteId s, sim::RandomStream* rng) {
   } else {
     sim_.Spawn(protocol_->Execute(ptr));
   }
-  if (submitted_ >= config_.total_txns) done_ = true;
 }
 
 sim::Process System::GeneratorProcess(db::SiteId s, sim::RandomStream rng) {

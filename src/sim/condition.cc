@@ -25,8 +25,11 @@ bool OneShot::Fire(WaitStatus status) {
     timeout_event_ = EventId{};
     std::coroutine_handle<> h = waiter_;
     waiter_ = nullptr;
-    // Resume through the event queue so firing is never reentrant: the
-    // signaler finishes its own step before the waiter runs.
+    // Never reentrant: the signaler finishes its own handler before the
+    // waiter runs. The resume goes through the event queue, or through the
+    // kernel's inline slot when it is provably the next event; either way
+    // the waiter runs after the current handler returns, at the position
+    // the queue would have given it.
     sim_->ScheduleResumeNow(h);
   }
   return true;

@@ -37,9 +37,10 @@ class OneShot {
   OneShot& operator=(const OneShot&) = delete;
   ~OneShot() { LAZYREP_CHECK_MSG(waiter_ == nullptr, "OneShot destroyed armed"); }
 
-  /// Delivers `status` to the waiter (resuming it at the current time), or
-  /// records it for a future Wait(). Returns false if the shot was already
-  /// fired (the call is then a no-op).
+  /// Delivers `status` to the waiter (resuming it at the current time, after
+  /// the caller's handler returns — never reentrantly, whether the resume is
+  /// queued or inlined by the kernel), or records it for a future Wait().
+  /// Returns false if the shot was already fired (the call is then a no-op).
   bool Fire(WaitStatus status);
 
   /// True once Fire() has been called.

@@ -141,7 +141,10 @@ TEST(TraceDeterminism, GoldenTraceFingerprint) {
 
 // Kernel accounting golden: the number of events each fixed run takes
 // through the executive, drain included. The constants were measured at
-// commit cb0acd7; an event-count change means the schedule itself changed.
+// commit cb0acd7 as events_fired(), when every resume went through the
+// queue; since same-instant continuations may skip the queue, the same
+// total is events_fired() + continuations_inlined(). A change in it means
+// the schedule itself changed.
 // One star OC-3-flavoured run per protocol, plus one 3-DC geo run with
 // loss, duplication, amnesia crashes and a dc0 partition, so the freeze,
 // drain and crash-recovery paths all count.
@@ -149,7 +152,7 @@ uint64_t KernelEvents(const SystemConfig& c, ProtocolKind kind,
                       MetricsSnapshot* snap) {
   System system(c, kind);
   *snap = system.Run();
-  return system.sim().events_fired();
+  return system.sim().events_fired() + system.sim().continuations_inlined();
 }
 
 SystemConfig AccountingOc3(uint64_t seed) {

@@ -436,6 +436,323 @@ TEST(FacilityTest, MeanQueueLengthTracksWaiters) {
 }
 
 // ---------------------------------------------------------------------------
+// Inline same-instant continuations
+// ---------------------------------------------------------------------------
+
+Process LogAfterWait(OneShot* shot, std::vector<std::string>* log,
+                     std::string name) {
+  co_await shot->Wait();
+  log->push_back(name);
+}
+
+Process LogAtStart(std::vector<std::string>* log, std::string name) {
+  log->push_back(name);
+  co_return;
+}
+
+TEST(InlineContinuationTest, ResumeWithNothingDueNowRunsInline) {
+  Simulation sim;
+  OneShot shot(&sim);
+  std::vector<std::string> log;
+  sim.Spawn(LogAfterWait(&shot, &log, "waiter"));
+  sim.Run();  // the waiter arms its shot
+  sim.ScheduleCallbackAt(1.0, [&] {
+    shot.Fire(WaitStatus::kSignaled);
+    log.push_back("signaler");
+  });
+  const uint64_t fired = sim.events_fired();
+  ASSERT_TRUE(sim.Step());
+  // One Step ran the callback and then the waiter, never reentrantly.
+  EXPECT_EQ(log, (std::vector<std::string>{"signaler", "waiter"}));
+  EXPECT_EQ(sim.events_fired(), fired + 1);
+  EXPECT_EQ(sim.continuations_inlined(), 1u);
+  EXPECT_FALSE(sim.Step());
+}
+
+TEST(InlineContinuationTest, ResumeBehindAQueuedSameInstantEventIsQueued) {
+  Simulation sim;
+  OneShot shot(&sim);
+  std::vector<std::string> log;
+  sim.Spawn(LogAfterWait(&shot, &log, "waiter"));
+  sim.Run();
+  sim.ScheduleCallbackAt(1.0, [&] { shot.Fire(WaitStatus::kSignaled); });
+  sim.ScheduleCallbackAt(1.0, [&] { log.push_back("queued-first"); });
+  ASSERT_TRUE(sim.Step());
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(sim.pending_events(), 2u);  // the same-instant event + the waiter
+  sim.Run();
+  EXPECT_EQ(log, (std::vector<std::string>{"queued-first", "waiter"}));
+  EXPECT_EQ(sim.continuations_inlined(), 0u);
+}
+
+TEST(InlineContinuationTest, SecondResumeFromOneHandlerIsQueuedBehindTheFirst) {
+  Simulation sim;
+  OneShot first(&sim);
+  OneShot second(&sim);
+  std::vector<std::string> log;
+  sim.Spawn(LogAfterWait(&first, &log, "first"));
+  sim.Spawn(LogAfterWait(&second, &log, "second"));
+  sim.Run();
+  sim.ScheduleCallbackAt(1.0, [&] {
+    first.Fire(WaitStatus::kSignaled);
+    second.Fire(WaitStatus::kSignaled);
+  });
+  const uint64_t fired = sim.events_fired();
+  ASSERT_TRUE(sim.Step());
+  EXPECT_EQ(log, (std::vector<std::string>{"first"}));
+  EXPECT_EQ(sim.continuations_inlined(), 1u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  ASSERT_TRUE(sim.Step());
+  EXPECT_EQ(log, (std::vector<std::string>{"first", "second"}));
+  EXPECT_EQ(sim.events_fired(), fired + 2);
+  EXPECT_EQ(sim.continuations_inlined(), 1u);
+}
+
+TEST(InlineContinuationTest, SpawnOutsideAStepIsQueued) {
+  Simulation sim;
+  std::vector<std::string> log;
+  sim.Spawn(LogAtStart(&log, "outside"));
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.Run();
+  EXPECT_EQ(log, (std::vector<std::string>{"outside"}));
+  EXPECT_EQ(sim.events_fired(), 1u);
+  EXPECT_EQ(sim.continuations_inlined(), 0u);
+}
+
+TEST(InlineContinuationTest, SpawnInsideAStepRunsAfterTheHandler) {
+  Simulation sim;
+  std::vector<std::string> log;
+  sim.ScheduleCallbackAt(1.0, [&] {
+    sim.Spawn(LogAtStart(&log, "child"));
+    log.push_back("parent");
+  });
+  ASSERT_TRUE(sim.Step());
+  EXPECT_EQ(log, (std::vector<std::string>{"parent", "child"}));
+  EXPECT_EQ(sim.events_fired(), 1u);
+  EXPECT_EQ(sim.continuations_inlined(), 1u);
+}
+
+TEST(InlineContinuationTest, PendingEventsCountsTheInlineSlot) {
+  Simulation sim;
+  OneShot shot(&sim);
+  std::vector<std::string> log;
+  sim.Spawn(LogAfterWait(&shot, &log, "waiter"));
+  sim.Run();
+  size_t pending_in_handler = 0;
+  sim.ScheduleCallbackAt(1.0, [&] {
+    shot.Fire(WaitStatus::kSignaled);
+    pending_in_handler = sim.pending_events();
+  });
+  sim.Run();
+  EXPECT_EQ(pending_in_handler, 1u);
+  EXPECT_EQ(sim.continuations_inlined(), 1u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(InlineContinuationTest, EndStepLeavesTheSlotForTheNextStep) {
+  Simulation sim;
+  OneShot shot(&sim);
+  std::vector<std::string> log;
+  sim.Spawn(LogAfterWait(&shot, &log, "waiter"));
+  sim.Run();
+  sim.ScheduleCallbackAt(1.0, [&] {
+    shot.Fire(WaitStatus::kSignaled);
+    sim.EndStep();
+    // Scheduled after the resume, so it must still run after it.
+    sim.ScheduleCallbackAt(1.0, [&] { log.push_back("later"); });
+  });
+  const uint64_t fired = sim.events_fired();
+  ASSERT_TRUE(sim.Step());
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(sim.pending_events(), 2u);
+  ASSERT_TRUE(sim.Step());  // the slot, not the queue
+  EXPECT_EQ(log, (std::vector<std::string>{"waiter"}));
+  EXPECT_EQ(sim.events_fired(), fired + 1);
+  EXPECT_EQ(sim.continuations_inlined(), 1u);
+  sim.Run();
+  EXPECT_EQ(log, (std::vector<std::string>{"waiter", "later"}));
+}
+
+Process WakeChain(Simulation* sim, OneShot* shot, int* resumes) {
+  co_await shot->Wait();
+  ++*resumes;
+  co_await sim->Delay(4.0);
+  ++*resumes;
+}
+
+TEST(InlineContinuationTest, RunUntilStillStopsAtItsHorizon) {
+  Simulation sim;
+  OneShot shot(&sim);
+  int resumes = 0;
+  sim.Spawn(WakeChain(&sim, &shot, &resumes));
+  sim.ScheduleCallbackAt(1.0, [&] { shot.Fire(WaitStatus::kSignaled); });
+  sim.Run(2.0);
+  EXPECT_EQ(resumes, 1);  // woken inline at 1.0; its 5.0 delay is not due
+  EXPECT_EQ(sim.continuations_inlined(), 1u);
+  EXPECT_DOUBLE_EQ(sim.Now(), 2.0);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.Run();
+  EXPECT_EQ(resumes, 2);
+  EXPECT_DOUBLE_EQ(sim.Now(), 5.0);
+}
+
+// Randomized property: actors mix Delay, Spawn, OneShot waits and fires, and
+// Facility service on a coarse time grid, so many resumptions collide at one
+// instant. Every resumption of an actor logs the ticket of the schedule call
+// that caused it (taken just before the call), so the log must run in
+// (time, ticket) order. Facility resumes are scheduled inside the facility;
+// they are checked against a reference run of the same world in which a
+// guard callback is always queued at the current instant, so no
+// continuation can be provably next and every resume takes the queue.
+struct InlineWorld {
+  struct Entry {
+    int actor;
+    SimTime time;
+    int64_t ticket;  // -1: a facility resume, scheduled inside the facility
+    bool operator==(const Entry&) const = default;
+  };
+  struct Actor {
+    explicit Actor(Simulation* sim) : shot(sim) {}
+    OneShot shot;
+    int64_t resume_ticket = -1;
+  };
+
+  InlineWorld(int actors, int servers) : fac(&sim, "fac", servers) {
+    for (int i = 0; i < actors; ++i) {
+      this->actors.push_back(std::make_unique<Actor>(&sim));
+    }
+  }
+
+  int64_t Ticket() { return next_ticket++; }
+  void Log(int actor, int64_t ticket) {
+    log.push_back({actor, sim.Now(), ticket});
+  }
+  Actor* ArmedActor(RandomStream* rng) {
+    Actor* a = actors[rng->UniformInt(0, actors.size() - 1)].get();
+    return a->shot.armed() ? a : nullptr;
+  }
+  void FireActor(Actor* a) {
+    a->resume_ticket = Ticket();
+    a->shot.Fire(WaitStatus::kSignaled);
+  }
+
+  Simulation sim;
+  Facility fac;
+  std::vector<std::unique_ptr<Actor>> actors;
+  std::vector<Entry> log;
+  int64_t next_ticket = 0;
+  uint64_t guard_runs = 0;
+};
+
+constexpr SimTime kGrid[] = {0.0, 0.25, 0.5};
+
+SimTime GridTime(RandomStream* rng) { return kGrid[rng->UniformInt(0, 2)]; }
+
+Process WorldChild(InlineWorld* w, int id, int64_t ticket, uint64_t seed) {
+  w->Log(id, ticket);
+  RandomStream rng(seed);
+  if (InlineWorld::Actor* a = w->ArmedActor(&rng)) w->FireActor(a);
+  co_return;
+}
+
+Process WorldActor(InlineWorld* w, int id, int64_t ticket, uint64_t seed,
+                   int steps) {
+  w->Log(id, ticket);
+  RandomStream rng(seed);
+  InlineWorld::Actor* self = w->actors[id].get();
+  for (int step = 0; step < steps; ++step) {
+    switch (rng.UniformInt(0, 4)) {
+      case 0: {
+        SimTime dt = GridTime(&rng);
+        int64_t t = w->Ticket();
+        co_await w->sim.Delay(dt);
+        w->Log(id, t);
+        break;
+      }
+      case 1: {
+        int64_t t = w->Ticket();
+        w->sim.Spawn(WorldChild(w, 1000 + id, t, rng.UniformInt(0, 1 << 30)));
+        break;
+      }
+      case 2: {
+        if (self->shot.fired()) self->shot.Reset();
+        self->resume_ticket = w->Ticket();  // the timeout callback's
+        co_await self->shot.Wait(0.25 + GridTime(&rng));
+        w->Log(id, self->resume_ticket);
+        break;
+      }
+      case 3:
+        if (InlineWorld::Actor* a = w->ArmedActor(&rng)) w->FireActor(a);
+        break;
+      case 4:
+        co_await w->fac.Use(GridTime(&rng));
+        w->Log(id, -1);
+        break;
+    }
+  }
+}
+
+void GuardNow(InlineWorld* w) {
+  ++w->guard_runs;
+  SimTime next = w->sim.event_queue().PeekTime();
+  if (next != kTimeInfinity) {
+    w->sim.ScheduleCallbackAt(next, [w] { GuardNow(w); });
+  }
+}
+
+void RunWorld(InlineWorld* w, uint64_t seed, bool guarded) {
+  RandomStream rng(seed);
+  for (size_t i = 0; i < w->actors.size(); ++i) {
+    int64_t t = w->Ticket();
+    w->sim.Spawn(WorldActor(w, static_cast<int>(i), t,
+                            rng.UniformInt(0, 1 << 30), 40));
+  }
+  if (guarded) w->sim.ScheduleCallbackAt(0.0, [w] { GuardNow(w); });
+  w->sim.Run();
+}
+
+TEST(InlineContinuationTest, RandomWorldsResumeInTimeThenScheduleOrder) {
+  uint64_t inlined = 0;
+  uint64_t collisions = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    const int servers = 1 + static_cast<int>(seed % 2);
+    InlineWorld fast(6, servers);
+    RunWorld(&fast, seed, /*guarded=*/false);
+    InlineWorld ref(6, servers);
+    RunWorld(&ref, seed, /*guarded=*/true);
+    ASSERT_EQ(ref.sim.continuations_inlined(), 0u) << "seed " << seed;
+    ASSERT_EQ(fast.log, ref.log) << "seed " << seed;
+
+    // Each resumption and each facility completion is one scheduled event.
+    const uint64_t scheduled = fast.log.size() + fast.fac.completed();
+    EXPECT_EQ(fast.sim.events_fired() + fast.sim.continuations_inlined(),
+              scheduled)
+        << "seed " << seed;
+    EXPECT_EQ(ref.sim.events_fired() - ref.guard_runs, scheduled)
+        << "seed " << seed;
+
+    const InlineWorld::Entry* prev = nullptr;
+    for (const InlineWorld::Entry& e : fast.log) {
+      if (e.ticket < 0) continue;
+      if (prev != nullptr) {
+        ASSERT_TRUE(prev->time < e.time ||
+                    (prev->time == e.time && prev->ticket < e.ticket))
+            << "seed " << seed << ": ticket " << prev->ticket << " at "
+            << prev->time << " ran before ticket " << e.ticket << " at "
+            << e.time;
+        if (prev->time == e.time) ++collisions;
+      }
+      prev = &e;
+    }
+    inlined += fast.sim.continuations_inlined();
+  }
+  // The worlds exercised both paths.
+  EXPECT_GT(inlined, 0u);
+  EXPECT_GT(collisions, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Mailbox
 // ---------------------------------------------------------------------------
 

@@ -1,5 +1,9 @@
 // Tests for the study/sweep harness (src/core/study).
 
+#include <cstdlib>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/study.h"
@@ -67,6 +71,62 @@ TEST(PrintFigureTest, RendersWithoutCrashing) {
   PrintFigure(points, "Test figure", "x", "y",
               [](const MetricsSnapshot& m) { return m.completed_tps; });
   SUCCEED();
+}
+
+BenchOptions ParseArgs(std::vector<std::string> args) {
+  std::vector<char*> argv;
+  static char prog[] = "bench";
+  argv.push_back(prog);
+  for (std::string& a : args) argv.push_back(a.data());
+  return BenchOptions::Parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(BenchOptionsTest, ParsesEveryNumericFlagWhole) {
+  BenchOptions opt =
+      ParseArgs({"--txns=500", "--points=2", "--figure=3", "--seed=9",
+                 "--jobs=0", "--kernel-threads=2", "--sites=65534"});
+  EXPECT_EQ(opt.txns, 500u);
+  EXPECT_EQ(opt.max_points, 2);
+  EXPECT_EQ(opt.figure, 3);
+  EXPECT_EQ(opt.seed, 9u);
+  EXPECT_EQ(opt.jobs, 0);
+  EXPECT_EQ(opt.kernel_threads, 2);
+  EXPECT_EQ(opt.sites, 65534);
+}
+
+TEST(BenchOptionsDeathTest, BadFlagExitsTwoNamingIt) {
+  EXPECT_EXIT(ParseArgs({"--points=-1"}), ::testing::ExitedWithCode(2),
+              "bad --points=-1");
+  EXPECT_EXIT(ParseArgs({"--figure=2x"}), ::testing::ExitedWithCode(2),
+              "bad --figure=2x");
+  EXPECT_EXIT(ParseArgs({"--seed="}), ::testing::ExitedWithCode(2),
+              "bad --seed=");
+  EXPECT_EXIT(ParseArgs({"--kernel-threads=0"}),
+              ::testing::ExitedWithCode(2), "bad --kernel-threads=0");
+  EXPECT_EXIT(ParseArgs({"--sites=65535"}), ::testing::ExitedWithCode(2),
+              "bad --sites=65535");
+}
+
+TEST(BenchOptionsDeathTest, BadEnvironmentValueExitsTwoNamingIt) {
+  // The death-test child sets the variable; the parent never sees it.
+  EXPECT_EXIT(
+      {
+        setenv("LAZYREP_TXNS", "abc", 1);
+        ParseArgs({});
+      },
+      ::testing::ExitedWithCode(2), "bad LAZYREP_TXNS=abc");
+  EXPECT_EXIT(
+      {
+        setenv("LAZYREP_JOBS", "zz", 1);
+        ParseArgs({});
+      },
+      ::testing::ExitedWithCode(2), "bad LAZYREP_JOBS=zz");
+  EXPECT_EXIT(
+      {
+        setenv("LAZYREP_KERNEL_THREADS", "0", 1);
+        ParseArgs({});
+      },
+      ::testing::ExitedWithCode(2), "bad LAZYREP_KERNEL_THREADS=0");
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 //               --tps=400 --csv=sweep.csv
 //   lazyrep_cli --help
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -20,16 +19,20 @@
 #include <string>
 #include <string_view>
 #include <sys/stat.h>
-#include <type_traits>
 #include <vector>
 
 #include "core/config.h"
+#include "core/flag_parse.h"
 #include "core/study.h"
 #include "core/system.h"
 #include "replay/workload_script.h"
 #include "trace/trace_reader.h"
 
 using namespace lazyrep;
+using core::kAboveZero;
+using core::kNoMax;
+using core::ParseOrDie;
+using core::ParseWhole;
 
 namespace {
 
@@ -100,43 +103,6 @@ bool FlagValue(const char* arg, const char* name, const char** value) {
   }
   return false;
 }
-
-/// Parses all of `text` as a decimal number; false on junk or overflow.
-template <class T>
-bool ParseWhole(std::string_view text, T* out) {
-  const char* end = text.data() + text.size();
-  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-  return ec == std::errc() && ptr == end && !text.empty();
-}
-
-/// Parses `value`, the part of flag argument `arg` after '=', whole into
-/// `*out` and checks that it lies in [lo, hi] — in (lo, hi] with `above_lo`
-/// (NaN fails either way). Otherwise names the flag and exits 2, before any
-/// run starts.
-template <class T>
-void ParseOrDie(const char* arg, const char* value, T* out, T lo,
-                T hi = std::numeric_limits<T>::max(), bool above_lo = false) {
-  if (ParseWhole(value, out) && (above_lo ? *out > lo : *out >= lo) &&
-      *out <= hi) {
-    return;
-  }
-  char lo_text[32], hi_text[32];
-  *std::to_chars(lo_text, lo_text + sizeof(lo_text) - 1, lo).ptr = '\0';
-  *std::to_chars(hi_text, hi_text + sizeof(hi_text) - 1, hi).ptr = '\0';
-  const char* kind = std::is_integral_v<T> ? "an integer" : "a number";
-  if (hi == std::numeric_limits<T>::max()) {
-    std::fprintf(stderr, "bad %s: want %s %s %s\n", arg, kind,
-                 above_lo ? ">" : ">=", lo_text);
-  } else {
-    std::fprintf(stderr, "bad %s: want %s from %s to %s\n", arg, kind,
-                 lo_text, hi_text);
-  }
-  std::exit(2);
-}
-
-/// Bounds for ParseOrDie on a flag that takes any positive number.
-constexpr double kNoMax = std::numeric_limits<double>::max();
-constexpr bool kAboveZero = true;
 
 /// Parses --ops=MIN,MAX: two integers with 1 <= MIN <= MAX.
 bool ParseOpsRange(std::string_view text, int* lo, int* hi) {
