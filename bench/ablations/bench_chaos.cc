@@ -221,7 +221,9 @@ int RunA9(const core::BenchOptions& opt, const ChaosCli& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  core::BenchOptions opt = core::BenchOptions::Parse(argc, argv);
+  core::BenchOptions opt = core::BenchOptions::Parse(
+      argc, argv,
+      {"--schedules=", "--chaos-schedules=", "--first=", "--check", "--a9"});
   if (!opt.protocols_set) {
     opt.protocols = {core::ProtocolKind::kLocking,
                      core::ProtocolKind::kPessimistic,

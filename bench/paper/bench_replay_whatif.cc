@@ -133,7 +133,8 @@ double StdDev(const std::vector<double>& xs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  core::BenchOptions opt = core::BenchOptions::Parse(argc, argv);
+  core::BenchOptions opt =
+      core::BenchOptions::Parse(argc, argv, {"--report", "--tmp="});
   bool report = false;
   std::string tmp = "/tmp";
   for (int i = 1; i < argc; ++i) {

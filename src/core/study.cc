@@ -6,6 +6,7 @@
 #include <cstring>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "core/flag_parse.h"
@@ -275,8 +276,15 @@ void PrintFigure(const std::vector<StudyPoint>& points,
   std::fflush(stdout);
 }
 
-BenchOptions BenchOptions::Parse(int argc, char** argv) {
+BenchOptions BenchOptions::Parse(
+    int argc, char** argv, std::initializer_list<std::string_view> own_flags) {
   BenchOptions opt;
+  auto is_own = [&own_flags](std::string_view a) {
+    for (std::string_view f : own_flags) {
+      if (f.ends_with('=') ? a.starts_with(f) : a == f) return true;
+    }
+    return false;
+  };
   // Every numeric input is parsed whole and range-checked; a bad one exits 2
   // naming it, before any run starts.
   auto from_env = [](const char* name, auto* out, auto lo) {
@@ -326,8 +334,15 @@ BenchOptions BenchOptions::Parse(int argc, char** argv) {
       std::printf(
           "options: --txns=N --points=N --figure=N --seed=N --jobs=N "
           "--kernel-threads=N --sites=N --quick --protocols=[lpoe] "
-          "--trace=FILE\n");
+          "--trace=FILE");
+      for (std::string_view f : own_flags) {
+        std::printf(" %.*s", static_cast<int>(f.size()), f.data());
+      }
+      std::printf("\n");
       std::exit(0);
+    } else if (!is_own(a)) {
+      std::fprintf(stderr, "unknown flag %s\n", a);
+      std::exit(2);
     }
   }
   if (opt.quick && opt.max_points == 0) opt.max_points = 3;

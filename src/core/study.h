@@ -2,8 +2,10 @@
 #define LAZYREP_CORE_STUDY_H_
 
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/config.h"
@@ -151,7 +153,9 @@ void PrintFigure(const std::vector<StudyPoint>& points,
 /// Standard sweep-value parser for bench binaries: reads --txns=, --points=,
 /// --figure=, --protocols=, --jobs= and scale overrides from
 /// argv/environment (LAZYREP_TXNS, LAZYREP_JOBS). Shared by all paper
-/// benches.
+/// benches. Any other argument exits 2 naming it, unless the bench lists it
+/// in `own_flags` and reads it itself: "--report" must match whole, a name
+/// ending in '=' ("--tmp=") matches as a prefix.
 struct BenchOptions {
   uint64_t txns = 3000;        ///< transactions per point
   int max_points = 0;          ///< 0 = all sweep values
@@ -175,7 +179,9 @@ struct BenchOptions {
   /// FILE (empty = tracing off).
   std::string trace;
 
-  static BenchOptions Parse(int argc, char** argv);
+  static BenchOptions Parse(
+      int argc, char** argv,
+      std::initializer_list<std::string_view> own_flags = {});
   /// Applies the run-control overrides — kernel_threads always, the sites
   /// override when set — and re-normalizes. Benches call this at the end of
   /// their make_config lambdas; sweep-over-sites benches set kernel_threads

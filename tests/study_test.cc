@@ -1,7 +1,9 @@
 // Tests for the study/sweep harness (src/core/study).
 
 #include <cstdlib>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -73,12 +75,13 @@ TEST(PrintFigureTest, RendersWithoutCrashing) {
   SUCCEED();
 }
 
-BenchOptions ParseArgs(std::vector<std::string> args) {
+BenchOptions ParseArgs(std::vector<std::string> args,
+                       std::initializer_list<std::string_view> own = {}) {
   std::vector<char*> argv;
   static char prog[] = "bench";
   argv.push_back(prog);
   for (std::string& a : args) argv.push_back(a.data());
-  return BenchOptions::Parse(static_cast<int>(argv.size()), argv.data());
+  return BenchOptions::Parse(static_cast<int>(argv.size()), argv.data(), own);
 }
 
 TEST(BenchOptionsTest, ParsesEveryNumericFlagWhole) {
@@ -105,6 +108,21 @@ TEST(BenchOptionsDeathTest, BadFlagExitsTwoNamingIt) {
               ::testing::ExitedWithCode(2), "bad --kernel-threads=0");
   EXPECT_EXIT(ParseArgs({"--sites=65535"}), ::testing::ExitedWithCode(2),
               "bad --sites=65535");
+}
+
+TEST(BenchOptionsDeathTest, UnknownFlagExitsTwoNamingIt) {
+  EXPECT_EXIT(ParseArgs({"--bogus=1"}), ::testing::ExitedWithCode(2),
+              "unknown flag --bogus=1");
+  // A bench's own flags are accepted only as listed: "--report" whole,
+  // "--tmp=" as a prefix.
+  EXPECT_EXIT(ParseArgs({"--reporting"}), ::testing::ExitedWithCode(2),
+              "unknown flag --reporting");
+}
+
+TEST(BenchOptionsTest, OwnFlagsAreLeftToTheBench) {
+  BenchOptions opt = ParseArgs({"--report", "--tmp=/x", "--txns=7"},
+                               {"--report", "--tmp="});
+  EXPECT_EQ(opt.txns, 7u);
 }
 
 TEST(BenchOptionsDeathTest, BadEnvironmentValueExitsTwoNamingIt) {
