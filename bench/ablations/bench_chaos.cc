@@ -105,9 +105,7 @@ int RunChaos(const core::BenchOptions& opt, const ChaosCli& cli) {
   specs.reserve(opt.protocols.size() * cli.schedules);
   for (core::ProtocolKind kind : opt.protocols) {
     for (int s = cli.first; s < cli.first + cli.schedules; ++s) {
-      core::SystemConfig c = core::MakeChaosConfig(cli.chaos, kind, s);
-      c.kernel_threads = opt.kernel_threads;
-      specs.push_back({c, kind});
+      specs.push_back({core::MakeChaosConfig(cli.chaos, kind, s), kind});
       schedule_of.push_back(s);
     }
   }

@@ -5,12 +5,14 @@
 // Run: ./build/examples/protocol_faceoff [--sites=N] [--tps=X] [--items=N]
 //                                        [--latency=SEC] [--txns=N]
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <cstdlib>
+#include <limits>
 
 #include "analysis/contention_model.h"
 #include "core/config.h"
+#include "core/flag_parse.h"
 #include "core/system.h"
 
 using namespace lazyrep;
@@ -23,19 +25,32 @@ int main(int argc, char** argv) {
   c.network.bandwidth_bps = 155e6;
   c.tps = 400;
   c.total_txns = 12000;
+  // Each flag is parsed whole and range-checked: a bad value exits 2
+  // naming it.
+  using core::ParseOrDie;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (std::strncmp(a, "--sites=", 8) == 0) c.num_sites = std::atoi(a + 8);
-    if (std::strncmp(a, "--tps=", 6) == 0) c.tps = std::atof(a + 6);
-    if (std::strncmp(a, "--items=", 8) == 0) {
-      c.workload.items_per_site = std::atoi(a + 8);
+    if (std::strncmp(a, "--sites=", 8) == 0) {
+      ParseOrDie(a, a + 8, &c.num_sites, 1, core::SystemConfig::kMaxSites);
+    } else if (std::strncmp(a, "--tps=", 6) == 0) {
+      ParseOrDie(a, a + 6, &c.tps, 0.0, core::kNoMax, core::kAboveZero);
+    } else if (std::strncmp(a, "--items=", 8) == 0) {
+      ParseOrDie(a, a + 8, &c.workload.items_per_site, 1);
+    } else if (std::strncmp(a, "--latency=", 10) == 0) {
+      ParseOrDie(a, a + 10, &c.network.latency, 0.0);
+    } else if (std::strncmp(a, "--txns=", 7) == 0) {
+      ParseOrDie(a, a + 7, &c.total_txns, uint64_t{1});
+    } else {
+      std::fprintf(stderr, "unknown flag %s\n", a);
+      return 2;
     }
-    if (std::strncmp(a, "--latency=", 10) == 0) {
-      c.network.latency = std::atof(a + 10);
-    }
-    if (std::strncmp(a, "--txns=", 7) == 0) {
-      c.total_txns = std::strtoull(a + 7, nullptr, 10);
-    }
+  }
+  // SystemConfig::total_items() is an int product.
+  if (int64_t{c.workload.items_per_site} * c.num_sites >
+      std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "--items=%d x --sites=%d is too many items\n",
+                 c.workload.items_per_site, c.num_sites);
+    return 2;
   }
   c.Normalize();
 

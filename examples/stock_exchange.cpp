@@ -13,10 +13,10 @@
 // Run: ./build/examples/stock_exchange [exchanges...]
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "core/config.h"
+#include "core/flag_parse.h"
 #include "core/system.h"
 
 using namespace lazyrep;
@@ -84,12 +84,18 @@ void RunGatekeeper(int exchanges) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::printf("Federated stock exchanges on lazy replication\n");
   std::vector<int> sweep = {4, 12, 32};
   if (argc > 1) {
     sweep.clear();
-    for (int i = 1; i < argc; ++i) sweep.push_back(std::atoi(argv[i]));
+    for (int i = 1; i < argc; ++i) {
+      // An exchange count is an integer site count; a bad one exits 2.
+      int exchanges = 0;
+      core::ParseOrDie(argv[i], argv[i], &exchanges, 1,
+                       core::SystemConfig::kMaxSites);
+      sweep.push_back(exchanges);
+    }
   }
+  std::printf("Federated stock exchanges on lazy replication\n");
   for (int exchanges : sweep) RunFederation(exchanges);
   RunGatekeeper(8);
   return 0;

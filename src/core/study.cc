@@ -294,7 +294,6 @@ BenchOptions BenchOptions::Parse(
   };
   from_env("LAZYREP_TXNS", &opt.txns, uint64_t{1});
   from_env("LAZYREP_JOBS", &opt.jobs, 0);  // 0 = hardware_concurrency
-  from_env("LAZYREP_KERNEL_THREADS", &opt.kernel_threads, 1);
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strncmp(a, "--txns=", 7) == 0) {
@@ -307,8 +306,6 @@ BenchOptions BenchOptions::Parse(
       ParseOrDie(a, a + 7, &opt.seed, uint64_t{0});
     } else if (std::strncmp(a, "--jobs=", 7) == 0) {
       ParseOrDie(a, a + 7, &opt.jobs, 0);
-    } else if (std::strncmp(a, "--kernel-threads=", 17) == 0) {
-      ParseOrDie(a, a + 17, &opt.kernel_threads, 1);
     } else if (std::strncmp(a, "--sites=", 8) == 0) {
       // 0 keeps the preset's fleet.
       ParseOrDie(a, a + 8, &opt.sites, 0, SystemConfig::kMaxSites);
@@ -333,12 +330,7 @@ BenchOptions BenchOptions::Parse(
     } else if (std::strcmp(a, "--help") == 0) {
       std::printf(
           "options: --txns=N --points=N --figure=N --seed=N --jobs=N "
-          "--kernel-threads=N --sites=N --quick --protocols=[lpoe] "
-          "--trace=FILE");
-      for (std::string_view f : own_flags) {
-        std::printf(" %.*s", static_cast<int>(f.size()), f.data());
-      }
-      std::printf("\n");
+          "--sites=N --quick --protocols=[lpoe] --trace=FILE\n");
       std::exit(0);
     } else if (!is_own(a)) {
       std::fprintf(stderr, "unknown flag %s\n", a);
@@ -351,7 +343,6 @@ BenchOptions BenchOptions::Parse(
 
 void BenchOptions::Apply(SystemConfig* config) const {
   if (sites > 0) config->num_sites = sites;
-  config->kernel_threads = kernel_threads;
   config->Normalize();
 }
 

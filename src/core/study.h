@@ -162,9 +162,6 @@ struct BenchOptions {
   int figure = 0;              ///< 0 = print every figure of the study
   uint64_t seed = 1;
   int jobs = 0;                ///< worker threads; 0 = hardware_concurrency
-  /// In-run event-kernel workers (SystemConfig::kernel_threads); output is
-  /// byte-identical at any value, composing with --jobs.
-  int kernel_threads = 1;
   /// Fleet-size override for fixed-fleet studies (0 = the preset's count).
   /// Sweep-over-sites benches ignore it.
   int sites = 0;
@@ -182,10 +179,9 @@ struct BenchOptions {
   static BenchOptions Parse(
       int argc, char** argv,
       std::initializer_list<std::string_view> own_flags = {});
-  /// Applies the run-control overrides — kernel_threads always, the sites
-  /// override when set — and re-normalizes. Benches call this at the end of
-  /// their make_config lambdas; sweep-over-sites benches set kernel_threads
-  /// directly instead (their site count is the swept axis).
+  /// Applies the sites override when set and re-normalizes. Fixed-fleet
+  /// benches call this at the end of their make_config lambdas;
+  /// sweep-over-sites benches do not (their site count is the swept axis).
   void Apply(SystemConfig* config) const;
   /// Thins `xs` to at most max_points (keeping endpoints) and applies quick.
   std::vector<double> Thin(std::vector<double> xs) const;

@@ -9,7 +9,6 @@
 #include "protocols/optimistic_protocol.h"
 #include "protocols/pessimistic_protocol.h"
 #include "sim/check.h"
-#include "sim/parallel_kernel.h"
 
 namespace lazyrep::core {
 
@@ -653,8 +652,8 @@ void System::Submit(db::SiteId s, sim::RandomStream* rng) {
   ++submitted_;
   ++site_submitted_[s];
   if (submitted_ >= config_.total_txns) {
-    // RunInline stops between Steps once done_ is set. End this Step with
-    // the current handler so no inlined continuation runs past the last
+    // Run stops between Steps once done_ is set. End this Step with the
+    // current handler so no inlined continuation runs past the last
     // submission: the snapshot freezes where it would with every resume
     // queued.
     done_ = true;
@@ -820,22 +819,6 @@ void System::Freeze(MetricsSnapshot* snap) {
 }
 
 MetricsSnapshot System::Run() {
-  if (config_.kernel_threads <= 1) return RunInline();
-  // The protocol fleet shares state across every site (completion tracker,
-  // metrics, replication graph), so the whole run is one protocol-coupled
-  // shard of the parallel kernel: the worker fleet assembles, worker 0
-  // executes the sequential loop as a single infinite window, and the
-  // schedule — hence every output byte — matches kernel_threads=1 exactly.
-  sim::ParallelKernel::Options kopt;
-  kopt.num_shards = 1;
-  kopt.num_workers = config_.kernel_threads;
-  sim::ParallelKernel kernel(kopt);
-  MetricsSnapshot snap;
-  kernel.RunCoupled([&] { snap = RunInline(); });
-  return snap;
-}
-
-MetricsSnapshot System::RunInline() {
   if (injector_) injector_->Start();
   if (amnesia()) {
     for (int s = 0; s < config_.num_sites; ++s) {

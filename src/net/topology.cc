@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 
 #include "sim/check.h"
 
@@ -193,18 +192,6 @@ double Topology::PathLatency(db::SiteId src, db::SiteId dst) const {
     total += hop.pre_delay + hop.propagation;
   }
   return total;
-}
-
-double Topology::MinCrossGroupLatency() const {
-  const int n = num_endpoints();
-  double best = std::numeric_limits<double>::infinity();
-  for (db::SiteId a = 0; a < n; ++a) {
-    for (db::SiteId b = a + 1; b < n; ++b) {
-      const double lat = PathLatency(a, b);
-      if (lat < best) best = lat;
-    }
-  }
-  return best;
 }
 
 Topology Topology::Star(int endpoints, const NetworkParams& params) {

@@ -35,12 +35,12 @@ struct FramePoolStats {
 /// A block must be released with FramePoolFree and the size it was
 /// allocated with (the compiler passes a frame's size to the promise's
 /// sized operator delete; an STL allocator passes n * sizeof(T)). It may be
-/// released on another thread: it then joins THAT thread's free list. This
-/// happens with --kernel-threads: System::Run fills the containers on
-/// worker 0, and the caller destroys the System. Each thread's free list
-/// is torn down when the thread exits, so no pooled block may be freed on
-/// a thread after its exit has begun: in particular, no pooled container
-/// may have static storage duration.
+/// released on another thread (a container filled on a worker and
+/// destroyed by the thread that joined it, say): it then joins THAT
+/// thread's free list. Each thread's free list is torn down when the thread
+/// exits, so no pooled block may be freed on a thread after its exit has
+/// begun: in particular, no pooled container may have static storage
+/// duration.
 void* FramePoolAlloc(size_t bytes);
 
 /// Returns `ptr` (of size `bytes`) to the calling thread's pool.

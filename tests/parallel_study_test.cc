@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -290,6 +291,70 @@ TEST(ParallelStudyTest, TracingLeavesStudyResultsUntouched) {
 
   EXPECT_EQ(FingerprintAll(a), FingerprintAll(b));
   std::remove(path.c_str());
+}
+
+SystemConfig GridConfig(bool faulty) {
+  SystemConfig c;
+  c.num_sites = 4;
+  c.workload.items_per_site = 10;
+  c.network.latency = 0.002;
+  c.tps = 60;
+  c.total_txns = 300;
+  c.warmup_per_site = 2;
+  c.seed = 424242;
+  if (faulty) {
+    c.fault.loss_prob = 0.02;
+    c.fault.dup_prob = 0.01;
+    c.fault.site_mtbf = 4.0;
+    c.fault.site_mttr = 0.5;
+  }
+  c.Normalize();
+  return c;
+}
+
+TEST(ParallelStudyTest, FaultGridTraceAndAuditsMatchAtAnyJobsLevel) {
+  // The full grid in one RunAll per jobs level: all four protocols, fault
+  // injection off and on, traced, serializability-checked and
+  // replica-audited. Trace bytes and every verdict must match jobs=1.
+  struct Outcome {
+    std::string trace;
+    std::vector<int> serializable, converged;
+    std::vector<uint64_t> stranded;
+  };
+  auto run = [](int jobs) {
+    std::vector<RunSpec> specs;
+    for (ProtocolKind k :
+         {ProtocolKind::kLocking, ProtocolKind::kPessimistic,
+          ProtocolKind::kOptimistic, ProtocolKind::kEager}) {
+      for (bool faulty : {false, true}) {
+        specs.push_back({GridConfig(faulty), k});
+      }
+    }
+    std::string path = ::testing::TempDir() + "par_study_grid_j" +
+                       std::to_string(jobs) + ".trace";
+    std::vector<MetricsSnapshot> ms =
+        RunAll(specs, jobs, /*check_serializability=*/true, {},
+               /*post_run_audit=*/true, path);
+    EXPECT_EQ(ms.size(), specs.size());
+    Outcome out;
+    out.trace = ReadFileBytes(path);
+    std::remove(path.c_str());
+    for (const MetricsSnapshot& m : ms) {
+      EXPECT_EQ(m.serializable, 1) << m.serializability_why;
+      out.serializable.push_back(m.serializable);
+      out.converged.push_back(m.replicas_converged);
+      out.stranded.push_back(m.stranded_txns);
+    }
+    return out;
+  };
+  Outcome serial = run(1);
+  Outcome parallel = run(2);
+  ASSERT_FALSE(serial.trace.empty());
+  EXPECT_EQ(serial.trace, parallel.trace)
+      << "trace bytes differ between --jobs=1 and --jobs=2";
+  EXPECT_EQ(serial.serializable, parallel.serializable);
+  EXPECT_EQ(serial.converged, parallel.converged);
+  EXPECT_EQ(serial.stranded, parallel.stranded);
 }
 
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {

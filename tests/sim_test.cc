@@ -929,9 +929,9 @@ TEST(StatsTest, FormatWithCiIsReadable) {
 // ---------------------------------------------------------------------------
 
 TEST(PoolAllocatorTest, BlockFilledOnAWorkerIsFreedOnTheCaller) {
-  // A System run with --kernel-threads=2 fills its pooled containers on
-  // worker 0 and is destroyed by the calling thread; the block then joins
-  // the caller's free list.
+  // Pooled blocks are not pinned to the thread that allocated them: a
+  // container filled on a worker and destroyed by the thread that joined
+  // it returns its block to the destroying thread's free list.
   auto v = std::make_unique<PoolVector<int>>();
   std::thread worker([&v] {
     for (int i = 0; i < 100; ++i) v->push_back(i);

@@ -87,14 +87,19 @@ BenchOptions ParseArgs(std::vector<std::string> args,
 TEST(BenchOptionsTest, ParsesEveryNumericFlagWhole) {
   BenchOptions opt =
       ParseArgs({"--txns=500", "--points=2", "--figure=3", "--seed=9",
-                 "--jobs=0", "--kernel-threads=2", "--sites=65534"});
+                 "--jobs=0", "--sites=65534"});
   EXPECT_EQ(opt.txns, 500u);
   EXPECT_EQ(opt.max_points, 2);
   EXPECT_EQ(opt.figure, 3);
   EXPECT_EQ(opt.seed, 9u);
   EXPECT_EQ(opt.jobs, 0);
-  EXPECT_EQ(opt.kernel_threads, 2);
   EXPECT_EQ(opt.sites, 65534);
+}
+
+TEST(BenchOptionsTest, OwnFlagsAreLeftToTheBench) {
+  BenchOptions opt = ParseArgs({"--report", "--tmp=/x", "--txns=7"},
+                               {"--report", "--tmp="});
+  EXPECT_EQ(opt.txns, 7u);
 }
 
 TEST(BenchOptionsDeathTest, BadFlagExitsTwoNamingIt) {
@@ -104,25 +109,13 @@ TEST(BenchOptionsDeathTest, BadFlagExitsTwoNamingIt) {
               "bad --figure=2x");
   EXPECT_EXIT(ParseArgs({"--seed="}), ::testing::ExitedWithCode(2),
               "bad --seed=");
-  EXPECT_EXIT(ParseArgs({"--kernel-threads=0"}),
-              ::testing::ExitedWithCode(2), "bad --kernel-threads=0");
   EXPECT_EXIT(ParseArgs({"--sites=65535"}), ::testing::ExitedWithCode(2),
               "bad --sites=65535");
-}
-
-TEST(BenchOptionsDeathTest, UnknownFlagExitsTwoNamingIt) {
   EXPECT_EXIT(ParseArgs({"--bogus=1"}), ::testing::ExitedWithCode(2),
               "unknown flag --bogus=1");
-  // A bench's own flags are accepted only as listed: "--report" whole,
-  // "--tmp=" as a prefix.
-  EXPECT_EXIT(ParseArgs({"--reporting"}), ::testing::ExitedWithCode(2),
-              "unknown flag --reporting");
-}
-
-TEST(BenchOptionsTest, OwnFlagsAreLeftToTheBench) {
-  BenchOptions opt = ParseArgs({"--report", "--tmp=/x", "--txns=7"},
-                               {"--report", "--tmp="});
-  EXPECT_EQ(opt.txns, 7u);
+  // A bench's own flag without '=' must match whole.
+  EXPECT_EXIT(ParseArgs({"--reporting"}, {"--report"}),
+              ::testing::ExitedWithCode(2), "unknown flag --reporting");
 }
 
 TEST(BenchOptionsDeathTest, BadEnvironmentValueExitsTwoNamingIt) {
@@ -139,12 +132,6 @@ TEST(BenchOptionsDeathTest, BadEnvironmentValueExitsTwoNamingIt) {
         ParseArgs({});
       },
       ::testing::ExitedWithCode(2), "bad LAZYREP_JOBS=zz");
-  EXPECT_EXIT(
-      {
-        setenv("LAZYREP_KERNEL_THREADS", "0", 1);
-        ParseArgs({});
-      },
-      ::testing::ExitedWithCode(2), "bad LAZYREP_KERNEL_THREADS=0");
 }
 
 }  // namespace

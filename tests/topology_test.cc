@@ -3,7 +3,6 @@
 // (the uplink is charged once per receiving subtree, asymmetric edge
 // directions serialize independently).
 
-#include <cmath>
 #include <string>
 #include <vector>
 
@@ -319,7 +318,7 @@ TEST(GeoSystemTest, DcPartitionDropsTrafficAndStaysSerializable) {
   EXPECT_NE(snaps[0].serializable, 0) << snaps[0].serializability_why;
 }
 
-// --- MinCrossGroupLatency: the parallel kernel's lookahead source of truth.
+// --- PathLatency: the fixed cost of every route, tier by tier.
 
 TEST(TopologyLookaheadTest, FlatStarMinLatencyIsSwitchLatency) {
   NetworkParams params;  // 0.004s OC-3 switch, zero-latency access links
@@ -328,7 +327,6 @@ TEST(TopologyLookaheadTest, FlatStarMinLatencyIsSwitchLatency) {
   EXPECT_DOUBLE_EQ(topo.PathLatency(0, 7), params.latency);
   EXPECT_DOUBLE_EQ(topo.PathLatency(7, 0), params.latency);
   EXPECT_DOUBLE_EQ(topo.PathLatency(3, 3), 0.0);
-  EXPECT_DOUBLE_EQ(topo.MinCrossGroupLatency(), params.latency);
 }
 
 TEST(TopologyLookaheadTest, GeoTreeMinLatencyTiersAndSymmetry) {
@@ -348,15 +346,9 @@ TEST(TopologyLookaheadTest, GeoTreeMinLatencyTiersAndSymmetry) {
   // Cross-DC: 5 switches + 2 metro uplinks + 2 backbone hops.
   EXPECT_DOUBLE_EQ(topo.PathLatency(0, 4), 5 * L + 2 * U + 2 * B);
   EXPECT_DOUBLE_EQ(topo.PathLatency(4, 0), topo.PathLatency(0, 4));
-  EXPECT_DOUBLE_EQ(topo.MinCrossGroupLatency(), L);
-
-  // 6 sites over 6 metros: no co-metro pair exists, so the minimum climbs
-  // to the same-DC cross-metro tier.
-  Topology sparse = Topology::Geo(spec, 6, params);
-  EXPECT_DOUBLE_EQ(sparse.MinCrossGroupLatency(), 3 * L + 2 * U);
 }
 
-// The lookahead and the data path share one route walk: for every ordered
+// PathLatency and the data path share one route walk: for every ordered
 // pair of distinct endpoints, the fixed terms of the Route's hops sum to
 // PathLatency, and a zero-byte Transfer (no transmission time) through a
 // Network built on the same tree arrives exactly that late.
@@ -397,12 +389,6 @@ TEST(TopologyLookaheadTest, RoutedHopsSumToPathLatencyOnEveryPair) {
   spec.kind = TopologySpec::Kind::kGeo;  // 3 DCs x 2 metros
   ExpectRoutesMatchPathLatency(Topology::Geo(spec, 12, params));
   ExpectRoutesMatchPathLatency(TwoLevelTree());
-}
-
-TEST(TopologyLookaheadTest, SingleSiteHasNoCrossLatency) {
-  NetworkParams params;
-  Topology topo = Topology::Star(1, params);
-  EXPECT_TRUE(std::isinf(topo.MinCrossGroupLatency()));
 }
 
 }  // namespace

@@ -90,8 +90,6 @@ void PrintHelp() {
       "  --check-serializability         run the MVSG checker (slower)\n"
       "  --jobs=N                        run --protocol=all runs on N worker\n"
       "                                  threads (0 = all cores; default 1)\n"
-      "  --kernel-threads=N              in-run event-kernel workers; output\n"
-      "                                  is byte-identical at any N\n"
       "  --quiet                         suppress the human-readable block\n");
 }
 
@@ -333,8 +331,6 @@ int main(int argc, char** argv) {
       ParseOrDie(a, v, &replay_point, 0);
     } else if (FlagValue(a, "--jobs", &v)) {
       ParseOrDie(a, v, &jobs, 0);  // 0 = hardware_concurrency
-    } else if (FlagValue(a, "--kernel-threads", &v)) {
-      ParseOrDie(a, v, &config.kernel_threads, 1);
     } else if (std::strcmp(a, "--check-serializability") == 0) {
       check_serializability = true;
     } else if (std::strcmp(a, "--quiet") == 0) {
