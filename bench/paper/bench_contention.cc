@@ -7,10 +7,12 @@
 // readers) should scale linearly in TPS/|DB|.
 
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
 #include "analysis/contention_model.h"
 #include "core/config.h"
+#include "core/flag_parse.h"
 #include "core/system.h"
 
 using namespace lazyrep;
@@ -18,7 +20,13 @@ using namespace lazyrep;
 int main(int argc, char** argv) {
   uint64_t txns = 4000;
   for (int i = 1; i < argc; ++i) {
-    if (sscanf(argv[i], "--txns=%llu", (unsigned long long*)&txns) == 1) {
+    const char* a = argv[i];
+    if (std::strncmp(a, "--txns=", 7) == 0) {
+      core::ParseOrDie(a, a + 7, &txns, uint64_t{1});
+    } else {
+      std::fprintf(stderr, "unknown flag %s (usage: bench_contention "
+                   "[--txns=N])\n", a);
+      return 2;
     }
   }
 

@@ -184,5 +184,5 @@ int main(int argc, char** argv) {
     std::printf("geo.txns_per_point=%llu\n", (unsigned long long)opt.txns);
     std::printf("geo.audit_ok=%d\n", ok ? 1 : 0);
   }
-  return ok ? 0 : 2;
+  return ok ? core::EmptyWindowStatus(points) : 2;
 }

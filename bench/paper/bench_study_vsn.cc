@@ -39,5 +39,5 @@ int main(int argc, char** argv) {
   };
   PrintFigures(points, figures, opt.figure);
   if (opt.figure == 0) PrintUtilizationAppendix(points);
-  return 0;
+  return core::EmptyWindowStatus(points);
 }

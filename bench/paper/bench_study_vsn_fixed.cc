@@ -43,5 +43,5 @@ int main(int argc, char** argv) {
        AbortRate()},
   };
   PrintFigures(points, figures, 0);
-  return 0;
+  return core::EmptyWindowStatus(points);
 }

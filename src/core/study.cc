@@ -9,6 +9,8 @@
 #include <string_view>
 #include <utility>
 
+#include <unistd.h>
+
 #include "core/flag_parse.h"
 #include "core/history.h"
 #include "core/parallel.h"
@@ -276,6 +278,19 @@ void PrintFigure(const std::vector<StudyPoint>& points,
   std::fflush(stdout);
 }
 
+int EmptyWindowStatus(const std::vector<StudyPoint>& points) {
+  int status = 0;
+  for (const StudyPoint& p : points) {
+    if (p.snap.completed > 0) continue;
+    std::fprintf(stderr,
+                 "%s at x=%g: no transaction completed, the measurement "
+                 "window was empty (raise --txns)\n",
+                 ProtocolKindName(p.protocol), p.x);
+    status = 1;
+  }
+  return status;
+}
+
 BenchOptions BenchOptions::Parse(
     int argc, char** argv, std::initializer_list<std::string_view> own_flags) {
   BenchOptions opt;
@@ -294,6 +309,18 @@ BenchOptions BenchOptions::Parse(
   };
   from_env("LAZYREP_TXNS", &opt.txns, uint64_t{1});
   from_env("LAZYREP_JOBS", &opt.jobs, 0);  // 0 = hardware_concurrency
+  // Any other LAZYREP_ name is a typo or a stale setting (the removed
+  // LAZYREP_KERNEL_THREADS, say): refuse it as an unknown flag is refused.
+  for (char** env = environ; *env != nullptr; ++env) {
+    const std::string_view entry = *env;
+    if (!entry.starts_with("LAZYREP_")) continue;
+    const std::string_view name = entry.substr(0, entry.find('='));
+    if (name != "LAZYREP_TXNS" && name != "LAZYREP_JOBS") {
+      std::fprintf(stderr, "unknown environment variable %.*s\n",
+                   static_cast<int>(name.size()), name.data());
+      std::exit(2);
+    }
+  }
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strncmp(a, "--txns=", 7) == 0) {
@@ -314,18 +341,23 @@ BenchOptions BenchOptions::Parse(
     } else if (std::strncmp(a, "--trace=", 8) == 0) {
       opt.trace = a + 8;
     } else if (std::strncmp(a, "--protocols=", 12) == 0) {
+      // Letters select protocols in canonical order, whatever order they
+      // are given in. Any other letter, or none, names no protocol set.
+      const std::string_view letters = a + 12;
+      if (letters.empty() ||
+          letters.find_first_not_of("lpoe") != std::string_view::npos) {
+        std::fprintf(stderr, "bad %s: want one or more of l p o e\n", a);
+        std::exit(2);
+      }
       opt.protocols.clear();
       opt.protocols_set = true;
-      const char* s = a + 12;
-      if (std::strchr(s, 'l')) opt.protocols.push_back(ProtocolKind::kLocking);
-      if (std::strchr(s, 'p')) {
-        opt.protocols.push_back(ProtocolKind::kPessimistic);
-      }
-      if (std::strchr(s, 'o')) {
-        opt.protocols.push_back(ProtocolKind::kOptimistic);
-      }
-      if (std::strchr(s, 'e')) {
-        opt.protocols.push_back(ProtocolKind::kEager);
+      for (auto [letter, kind] : {std::pair{'l', ProtocolKind::kLocking},
+                                  std::pair{'p', ProtocolKind::kPessimistic},
+                                  std::pair{'o', ProtocolKind::kOptimistic},
+                                  std::pair{'e', ProtocolKind::kEager}}) {
+        if (letters.find(letter) != std::string_view::npos) {
+          opt.protocols.push_back(kind);
+        }
       }
     } else if (std::strcmp(a, "--help") == 0) {
       std::printf(

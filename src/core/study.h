@@ -150,6 +150,12 @@ void PrintFigure(const std::vector<StudyPoint>& points,
                      ProtocolKind::kLocking, ProtocolKind::kPessimistic,
                      ProtocolKind::kOptimistic});
 
+/// A study bench's exit status: 0 when every point completed at least one
+/// transaction in its measurement window; else 1, after naming each empty
+/// point (protocol and x) on stderr. An empty window (too few transactions
+/// to get past the warm-up, say) would otherwise plot as a measured zero.
+int EmptyWindowStatus(const std::vector<StudyPoint>& points);
+
 /// Standard sweep-value parser for bench binaries: reads --txns=, --points=,
 /// --figure=, --protocols=, --jobs= and scale overrides from
 /// argv/environment (LAZYREP_TXNS, LAZYREP_JOBS). Shared by all paper

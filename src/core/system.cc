@@ -245,45 +245,22 @@ sim::Process System::GatedExecute(txn::Transaction* t) {
   sim_.Spawn(protocol_->Execute(t));
 }
 
-sim::Task<void> System::SendCtrl(db::SiteId from, db::SiteId to) {
+sim::Task<bool> System::SendCtrlWithin(db::SiteId from, db::SiteId to,
+                                       int max_retries) {
   if (from != graph_endpoint()) {
     co_await site(from).cpu.Execute(config_.message_instr);
   }
-  co_await network_->Transfer(from, to, config_.ctrl_msg_bytes);
-  if (to != graph_endpoint()) {
-    co_await site(to).cpu.Execute(config_.message_instr);
-  }
-}
-
-sim::Task<bool> System::SendCtrlReliable(db::SiteId from, db::SiteId to) {
+  bool delivered = true;
   if (channel_ == nullptr) {
-    co_await SendCtrl(from, to);
-    co_return true;
+    co_await network_->Transfer(from, to, config_.ctrl_msg_bytes);
+  } else {
+    delivered = co_await channel_->Send(from, to, config_.ctrl_msg_bytes,
+                                        max_retries);
   }
-  if (from != graph_endpoint()) {
-    co_await site(from).cpu.Execute(config_.message_instr);
-  }
-  bool ok = co_await channel_->Send(from, to, config_.ctrl_msg_bytes,
-                                    config_.fault.max_retries);
-  if (ok && to != graph_endpoint()) {
+  if (delivered && to != graph_endpoint()) {
     co_await site(to).cpu.Execute(config_.message_instr);
   }
-  co_return ok;
-}
-
-sim::Task<void> System::SendCtrlAssured(db::SiteId from, db::SiteId to) {
-  if (channel_ == nullptr) {
-    co_await SendCtrl(from, to);
-    co_return;
-  }
-  if (from != graph_endpoint()) {
-    co_await site(from).cpu.Execute(config_.message_instr);
-  }
-  co_await channel_->Send(from, to, config_.ctrl_msg_bytes,
-                          fault::kRetryForever);
-  if (to != graph_endpoint()) {
-    co_await site(to).cpu.Execute(config_.message_instr);
-  }
+  co_return delivered;
 }
 
 sim::Task<void> System::SendPayloadAssured(db::SiteId from, db::SiteId to,

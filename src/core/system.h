@@ -126,12 +126,7 @@ class System {
 
   // -- shared mechanics -----------------------------------------------------------
 
-  /// Sends a control message: sender CPU, network transfer, receiver CPU.
-  /// Endpoints equal to graph_endpoint() skip the CPU charge there — the
-  /// GraphSite accounts for its own message handling.
-  sim::Task<void> SendCtrl(db::SiteId from, db::SiteId to);
-
-  // -- fault-aware messaging (identical to SendCtrl when faults are off) ------
+  // -- fault-aware messaging --------------------------------------------------
 
   /// True when fault injection is active for this run.
   bool fault_enabled() const { return injector_ != nullptr; }
@@ -194,16 +189,24 @@ class System {
   /// locks it still holds at its origin — to `out`.
   void DebugDumpLive(std::FILE* out);
 
-  /// Control message with ack + capped retransmission. Resolves true once the
-  /// message (and its ack) got through; false when the retry budget ran out —
-  /// the caller must abort the transaction with AbortCause::kUnavailable.
-  /// Degenerates to plain SendCtrl / true on a perfect network.
-  sim::Task<bool> SendCtrlReliable(db::SiteId from, db::SiteId to);
+  /// Sends a control message: sender CPU, network transfer, receiver CPU.
+  /// Endpoints equal to graph_endpoint() skip the CPU charge there — the
+  /// GraphSite accounts for its own message handling. Under faults the
+  /// transfer goes over the reliable channel with ack + capped
+  /// retransmission: resolves true once the message (and its ack) got
+  /// through; false when the retry budget ran out — the caller must abort
+  /// the transaction with AbortCause::kUnavailable. Always true on a perfect
+  /// network.
+  sim::Task<bool> SendCtrlReliable(db::SiteId from, db::SiteId to) {
+    return SendCtrlWithin(from, to, config_.fault.max_retries);
+  }
 
-  /// Control message retried without bound (post-commit / cleanup traffic:
+  /// SendCtrlReliable retried without bound (post-commit / cleanup traffic:
   /// commit, abort and completion notices, installer acks, remote lock
-  /// releases). Resolves only on delivery.
-  sim::Task<void> SendCtrlAssured(db::SiteId from, db::SiteId to);
+  /// releases). Resolves only on delivery, so always to true.
+  sim::Task<bool> SendCtrlAssured(db::SiteId from, db::SiteId to) {
+    return SendCtrlWithin(from, to, fault::kRetryForever);
+  }
 
   /// Bulk payload (update propagation) retried without bound. Charges send
   /// CPU here; the receiver's handling cost is the installer's business.
@@ -324,6 +327,11 @@ class System {
   const char* protocol_name() const;
 
  private:
+  /// The one control-message coroutine behind SendCtrlReliable and
+  /// SendCtrlAssured (a single frame per message, faults on or off).
+  sim::Task<bool> SendCtrlWithin(db::SiteId from, db::SiteId to,
+                                 int max_retries);
+
   friend class proto::Protocol;
 
   sim::Process GeneratorProcess(db::SiteId s, sim::RandomStream rng);

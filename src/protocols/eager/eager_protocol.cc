@@ -1,7 +1,6 @@
 #include "protocols/eager/eager_protocol.h"
 
 #include <algorithm>
-#include <functional>
 #include <utility>
 
 #include "sim/check.h"
@@ -25,37 +24,27 @@ constexpr double kBackoffBase = 0.05;
 
 sim::Process EagerProtocol::LockLeg(txn::Transaction* t, db::SiteId dst,
                                     db::ItemId item, StatePtr st,
-                                    RoundState* round, bool via_multicast) {
-  const core::SystemConfig& cfg = sys_->config();
-  if (via_multicast) {
-    // Multicast legs charge their own receive; the reliable path below
-    // charges it inside SendCtrlReliable.
-    co_await sys_->site(dst).cpu.Execute(cfg.message_instr);
-  } else if (!co_await sys_->SendCtrlReliable(t->origin, dst)) {
+                                    RoundState* round) {
+  const bool reached = co_await Reached(t->origin, dst, Retry::kBounded);
+  if (!reached) {
     ++round->unavailable;
     round->done.Arrive();
     co_return;
   }
   WaitStatus s = co_await sys_->site(dst).locks.Acquire(
-      t->id, item, LockMode::kExclusive, cfg.timeout);
+      t->id, item, LockMode::kExclusive, sys_->config().timeout);
   if (s == WaitStatus::kSignaled) {
     // Record the grant before the reply leg: if the grant message never
     // arrives, the abort path still knows to release this lock.
     st->granted_remote.emplace_back(dst, item);
-    if (via_multicast) {
-      co_await sys_->SendCtrl(dst, t->origin);
-    } else if (!co_await sys_->SendCtrlReliable(dst, t->origin)) {
+    if (!co_await sys_->SendCtrlReliable(dst, t->origin)) {
       // The coordinator never learned of the grant: treat the site as
       // unreachable (the recorded grant is released on abort).
       ++round->unavailable;
     }
   } else {
     ++round->denied;
-    if (via_multicast) {
-      co_await sys_->SendCtrl(dst, t->origin);  // deny reply
-    } else {
-      co_await sys_->SendCtrlReliable(dst, t->origin);  // deny, best effort
-    }
+    co_await sys_->SendCtrlReliable(dst, t->origin);  // deny, best effort
   }
   round->done.Arrive();
 }
@@ -71,40 +60,19 @@ sim::Task<bool> EagerProtocol::AcquireReplicaLocks(txn::Transaction* t,
     for (int s = 0; s < cfg.num_sites; ++s) {
       db::SiteId dst = static_cast<db::SiteId>(s);
       if (dst == t->origin || !cfg.HasReplica(item, dst)) continue;
-      bool have = false;
-      for (const auto& [gs, gi] : st->granted_remote) {
-        if (gs == dst && gi == item) {
-          have = true;
-          break;
-        }
+      if (std::find(st->granted_remote.begin(), st->granted_remote.end(),
+                    std::pair{dst, item}) == st->granted_remote.end()) {
+        targets.push_back(dst);
       }
-      if (!have) targets.push_back(dst);
     }
     if (targets.empty()) co_return true;
     sys_->metrics().OnEagerLockRound(t->measured, attempt > 0);
 
     RoundState round(&sys_->sim(), static_cast<int>(targets.size()));
-    if (sys_->fault_enabled()) {
-      for (db::SiteId dst : targets) {
-        sys_->sim().Spawn(
-            LockLeg(t, dst, item, st, &round, /*via_multicast=*/false));
-      }
-    } else {
-      co_await sys_->site(t->origin).cpu.Execute(cfg.message_instr);
-      // The callback must be a named lvalue: this toolchain's coroutine
-      // transform runs one extra destructor on an owning prvalue temporary
-      // materialized inside a co_await expression (here that would double-
-      // release the captured shared_ptr). Moving from a named local instead
-      // keeps exactly one destruction per object.
-      net::Network::DeliveryFn on_locked =
-          [this, t, item, st, &round](db::SiteId dst) {
-            sys_->sim().Spawn(
-                LockLeg(t, dst, item, st, &round, /*via_multicast=*/true));
-          };
-      co_await sys_->network().Multicast(t->origin, targets,
-                                         cfg.ctrl_msg_bytes,
-                                         std::move(on_locked));
-    }
+    auto start_leg = [this, t, item, st, &round](db::SiteId dst) {
+      sys_->sim().Spawn(LockLeg(t, dst, item, st, &round));
+    };
+    co_await FanOutCtrl(t->origin, targets, start_leg);
     // Every leg is bounded (lock waits and reliable sends time out), so the
     // round wait needs no deadline and `round` can live on this frame.
     co_await round.done.Wait();
@@ -129,7 +97,7 @@ sim::Task<bool> EagerProtocol::AcquireReplicaLocks(txn::Transaction* t,
 }
 
 sim::Process EagerProtocol::Participant(txn::Transaction* t, db::SiteId dst,
-                                        TwoPCPtr pc, bool via_multicast) {
+                                        TwoPCPtr pc) {
   const core::SystemConfig& cfg = sys_->config();
   core::Site& site = sys_->site(dst);
   co_await site.cpu.Execute(cfg.message_instr);  // receive the PREPARE payload
@@ -179,10 +147,7 @@ sim::Process EagerProtocol::Participant(txn::Transaction* t, db::SiteId dst,
   // right to abort unilaterally and blocks holding its X locks.
   sim::SimTime vote_at = sys_->sim().Now();
   sys_->TraceEvent(trace::EventType::kVote, *t, dst, 0, 1);
-  if (via_multicast) {
-    co_await sys_->SendCtrl(dst, t->origin);
-    pc->votes.Arrive();
-  } else if (co_await sys_->SendCtrlReliable(dst, t->origin)) {
+  if (co_await sys_->SendCtrlReliable(dst, t->origin)) {
     pc->votes.Arrive();  // only a *delivered* YES counts
   }
   co_await pc->outcome[idx]->Wait();
@@ -227,56 +192,18 @@ sim::Process EagerProtocol::Participant(txn::Transaction* t, db::SiteId dst,
   }
 }
 
-sim::Process EagerProtocol::PrepareAt(txn::Transaction* t, int idx,
-                                      size_t bytes, TwoPCPtr pc) {
-  db::SiteId dst = pc->targets[idx];
-  if (!co_await sys_->SendPayloadReliable(t->origin, dst, bytes)) {
-    // Never reached the participant: no vote, no locks-in-doubt there. The
-    // coordinator learns through its vote timeout.
-    co_return;
-  }
-  pc->prepared[idx] = 1;
-  sys_->sim().Spawn(Participant(t, dst, pc, /*via_multicast=*/false));
-  if (pc->decided) {
-    // The PREPARE resolved only after the coordinator presumed abort (a
-    // commit cannot be decided while a PREPARE is outstanding — it needs
-    // every vote), so the decision-time broadcast missed this target:
-    // deliver its abort outcome now.
-    sys_->sim().Spawn(OutcomeAt(t->origin, pc, idx));
-  }
-}
-
-sim::Process EagerProtocol::OutcomeAt(db::SiteId origin, TwoPCPtr pc,
-                                      int idx) {
-  // Retried forever: a crashed coordinator endpoint stalls the retries until
-  // recovery, which is precisely the 2PC blocking window the in-doubt metric
-  // measures.
-  co_await sys_->SendCtrlAssured(origin, pc->targets[idx]);
-  pc->outcome[idx]->Fire(WaitStatus::kSignaled);
-}
-
 sim::Process EagerProtocol::BroadcastOutcome(db::SiteId origin, TwoPCPtr pc) {
-  const core::SystemConfig& cfg = sys_->config();
-  if (sys_->fault_enabled()) {
-    for (size_t i = 0; i < pc->targets.size(); ++i) {
-      if (pc->prepared[i]) {
-        sys_->sim().Spawn(OutcomeAt(origin, pc, static_cast<int>(i)));
-      }
-    }
-    co_return;
-  }
-  co_await sys_->site(origin).cpu.Execute(cfg.message_instr);
-  // Named lvalue: see AcquireReplicaLocks for the toolchain bug this avoids.
-  net::Network::DeliveryFn on_outcome = [this, pc](db::SiteId dst) {
-    sys_->sim().Spawn([](EagerProtocol* self, TwoPCPtr p,
-                         db::SiteId site) -> sim::Process {
-      co_await self->sys_->site(site).cpu.Execute(
-          self->sys_->config().message_instr);
-      p->outcome[p->IndexOf(site)]->Fire(WaitStatus::kSignaled);
-    }(this, pc, dst));
+  auto start_leg = [this, origin, pc](db::SiteId dst) {
+    int idx = pc->IndexOf(dst);
+    if (pc->prepared[idx]) sys_->sim().Spawn(OutcomeLeg(origin, pc, idx));
   };
-  co_await sys_->network().Multicast(origin, pc->targets, cfg.ctrl_msg_bytes,
-                                     std::move(on_outcome));
+  co_await FanOutCtrl(origin, pc->targets, start_leg);
+}
+
+sim::Process EagerProtocol::OutcomeLeg(db::SiteId origin, TwoPCPtr pc,
+                                       int idx) {
+  co_await Reached(origin, pc->targets[idx], Retry::kForever);
+  pc->outcome[idx]->Fire(WaitStatus::kSignaled);
 }
 
 void EagerProtocol::AbortNow(txn::Transaction* t, StatePtr st,
@@ -334,14 +261,7 @@ sim::Process EagerProtocol::Execute(txn::Transaction* t) {
         co_return;
       }
     } else {
-      db::Timestamp version = origin.store.Read(op.item, t->id);
-      if (sys_->history() != nullptr) {
-        sys_->history()->RecordRead(t->id, op.item, version);
-      }
-      sys_->TraceRead(*t, op.item, version);
-      if (version.txn != db::kNoTxn) {
-        st->edges.emplace_back(t->id, version.txn);  // wr: writer precedes us
-      }
+      ReadAtOrigin(t, op.item, &st->edges);
     }
   }
 
@@ -353,23 +273,18 @@ sim::Process EagerProtocol::Execute(txn::Transaction* t) {
     co_return;
   }
 
-  if (!t->is_update) {
-    // Entirely local: commit, release (strict 2PL holds to commit, not to
-    // completion — the tracker's wr edges order completions instead).
-    sys_->NoteCommitted(t);
-    origin.locks.ReleaseAll(t->id);
-    sys_->DeliverEdges(st->edges);
-    sys_->tracker().OnSubtxnCommitted(t->id);
-    co_return;
-  }
-
-  std::vector<db::SiteId> targets = sys_->ReplicaTargets(*t, t->origin);
+  std::vector<db::SiteId> targets;
+  if (t->is_update) targets = sys_->ReplicaTargets(*t, t->origin);
   if (targets.empty()) {
-    // Degenerate partial-replication case: no replicas, one-site commit.
-    sys_->StampCommitTimestamp(t);
-    if (!co_await ApplyAtOrigin(t)) {
-      AbortNow(t, st, txn::AbortCause::kSiteFailure);
-      co_return;
+    // Entirely local — read-only, or an update whose items have no other
+    // replica: commit, release (strict 2PL holds to commit, not to
+    // completion — the tracker's wr edges order completions instead).
+    if (t->is_update) {
+      sys_->StampCommitTimestamp(t);
+      if (!co_await ApplyAtOrigin(t)) {
+        AbortNow(t, st, txn::AbortCause::kSiteFailure);
+        co_return;
+      }
     }
     sys_->NoteCommitted(t);
     origin.locks.ReleaseAll(t->id);
@@ -385,19 +300,23 @@ sim::Process EagerProtocol::Execute(txn::Transaction* t) {
                    pc->targets.size());
   size_t bytes =
       cfg.propagation_overhead_bytes + t->write_set.size() * cfg.item_bytes;
-  if (sys_->fault_enabled()) {
-    for (size_t i = 0; i < pc->targets.size(); ++i) {
-      sys_->sim().Spawn(PrepareAt(t, static_cast<int>(i), bytes, pc));
-    }
-  } else {
+  // A target is prepared once its PREPARE is certain to land: all at once
+  // when faults are off, else as each copy lands. A copy that exhausts its
+  // retries leaves its target unprepared, voteless; the vote timeout then
+  // presumes abort.
+  auto on_prepare = [this, t, pc](db::SiteId dst) {
+    int idx = pc->IndexOf(dst);
+    // Landed after the coordinator presumed abort (a commit cannot be
+    // decided while a PREPARE is outstanding — it needs every vote), so the
+    // decision-time broadcast missed this target: send its outcome now.
+    const bool late = pc->decided && !pc->prepared[idx];
+    pc->prepared[idx] = 1;
+    sys_->sim().Spawn(Participant(t, dst, pc));
+    if (late) sys_->sim().Spawn(OutcomeLeg(t->origin, pc, idx));
+  };
+  if (co_await FanOutPayload(t->origin, pc->targets, bytes, Retry::kBounded,
+                             on_prepare)) {
     std::fill(pc->prepared.begin(), pc->prepared.end(), 1);
-    co_await origin.cpu.Execute(cfg.message_instr);
-    // Named lvalue: see AcquireReplicaLocks for the toolchain bug this avoids.
-    net::Network::DeliveryFn on_prepare = [this, t, pc](db::SiteId dst) {
-      sys_->sim().Spawn(Participant(t, dst, pc, /*via_multicast=*/true));
-    };
-    co_await sys_->network().Multicast(t->origin, pc->targets, bytes,
-                                       std::move(on_prepare));
   }
   WaitStatus vs = co_await pc->votes.Wait(cfg.EagerVoteTimeout());
 

@@ -94,7 +94,8 @@ class EagerProtocol : public Protocol {
     sim::Countdown votes;  ///< counts delivered YES votes
     /// Per-target outcome signal; participants block on theirs in doubt.
     std::vector<std::unique_ptr<sim::OneShot>> outcome;
-    /// Which targets actually received PREPARE (all, when faults are off).
+    /// Targets whose PREPARE has landed or is certain to (every target when
+    /// faults are off).
     std::vector<char> prepared;
     bool decided = false;
     bool commit = false;
@@ -114,25 +115,20 @@ class EagerProtocol : public Protocol {
 
   /// One remote lock request/grant leg of a round.
   sim::Process LockLeg(txn::Transaction* t, db::SiteId dst, db::ItemId item,
-                       StatePtr st, RoundState* round, bool via_multicast);
+                       StatePtr st, RoundState* round);
 
-  /// Fault-mode PREPARE to one target: bounded-retry payload, then the
-  /// participant; a send failure leaves the vote missing (the coordinator
-  /// learns via its vote timeout).
-  sim::Process PrepareAt(txn::Transaction* t, int idx, size_t bytes,
-                         TwoPCPtr pc);
-
-  /// Participant state machine at `dst`: force prepare record, vote YES,
-  /// block in doubt, then apply + ack (commit) or release (presumed abort).
-  sim::Process Participant(txn::Transaction* t, db::SiteId dst, TwoPCPtr pc,
-                           bool via_multicast);
+  /// Participant state machine at `dst`, from the PREPARE's arrival: force
+  /// prepare record, vote YES, block in doubt, then apply + ack (commit) or
+  /// release (presumed abort).
+  sim::Process Participant(txn::Transaction* t, db::SiteId dst, TwoPCPtr pc);
 
   /// Delivers the decided outcome to the prepared targets.
   sim::Process BroadcastOutcome(db::SiteId origin, TwoPCPtr pc);
 
-  /// Fault-mode outcome leg: assured delivery (the retries ride through
-  /// coordinator crashes — the blocking window ends only at delivery).
-  sim::Process OutcomeAt(db::SiteId origin, TwoPCPtr pc, int idx);
+  /// The outcome at target `idx`, which unblocks its participant. Retried
+  /// forever: a crashed coordinator stalls the retries until recovery, which
+  /// is precisely the 2PC blocking window the in-doubt metric measures.
+  sim::Process OutcomeLeg(db::SiteId origin, TwoPCPtr pc, int idx);
 
   /// Abort path: release origin locks, queue remote releases, notify.
   void AbortNow(txn::Transaction* t, StatePtr st, txn::AbortCause cause);

@@ -19,11 +19,15 @@ sim::Process LockingProtocol::FetchLock(txn::Transaction* t, int index,
                                         StatePtr st) {
   const db::Operation op = t->ops[index];
   db::SiteId origin = t->origin;
+  db::SiteId primary = sys_->config().PrimarySite(op.item);
   WaitStatus status;
-  if (op.type == db::OpType::kWrite) {
-    // Primary-copy update lock; the primary is the origin (ownership rule).
-    status = co_await sys_->site(origin).locks.Acquire(
-        t->id, op.item, LockMode::kUpdate, sys_->config().timeout);
+  if (op.type == db::OpType::kWrite || primary == origin) {
+    // A write's primary-copy update lock is at the origin (ownership rule),
+    // as is the read lock of an item the origin owns.
+    LockMode mode = op.type == db::OpType::kWrite ? LockMode::kUpdate
+                                                  : LockMode::kShared;
+    status = co_await sys_->site(origin).locks.Acquire(t->id, op.item, mode,
+                                                       sys_->config().timeout);
     if (status == WaitStatus::kSignaled && st->aborted) {
       // Granted after the transaction aborted (AbortNow already released
       // everything else): give the lock back immediately.
@@ -31,37 +35,27 @@ sim::Process LockingProtocol::FetchLock(txn::Transaction* t, int index,
       status = WaitStatus::kCancelled;
     }
   } else {
-    db::SiteId primary = sys_->config().PrimarySite(op.item);
-    if (primary == origin) {
-      status = co_await sys_->site(origin).locks.Acquire(
-          t->id, op.item, LockMode::kShared, sys_->config().timeout);
-      if (status == WaitStatus::kSignaled && st->aborted) {
-        sys_->site(origin).locks.Release(t->id, op.item);
-        status = WaitStatus::kCancelled;
-      }
+    // Relay the read-lock request to the primary site (§2.2).
+    sys_->TraceEvent(trace::EventType::kRemoteRead, *t, primary, op.item,
+                     origin);
+    if (!co_await sys_->SendCtrlReliable(origin, primary)) {
+      st->fail_cause = txn::AbortCause::kUnavailable;
+      status = WaitStatus::kCancelled;
     } else {
-      // Relay the read-lock request to the primary site (§2.2).
-      sys_->TraceEvent(trace::EventType::kRemoteRead, *t, primary, op.item,
-                       origin);
-      if (!co_await sys_->SendCtrlReliable(origin, primary)) {
-        st->fail_cause = txn::AbortCause::kUnavailable;
-        status = WaitStatus::kCancelled;
-      } else {
-        status = co_await sys_->site(primary).locks.Acquire(
-            t->id, op.item, LockMode::kShared, sys_->config().timeout);
-        if (status == WaitStatus::kSignaled) {
-          if (st->aborted) {
-            // The transaction died while we were acquiring: give it back.
-            sys_->site(primary).locks.Release(t->id, op.item);
+      status = co_await sys_->site(primary).locks.Acquire(
+          t->id, op.item, LockMode::kShared, sys_->config().timeout);
+      if (status == WaitStatus::kSignaled) {
+        if (st->aborted) {
+          // The transaction died while we were acquiring: give it back.
+          sys_->site(primary).locks.Release(t->id, op.item);
+          status = WaitStatus::kCancelled;
+        } else {
+          // Record the grant before the reply leg: if the grant message
+          // never arrives, ReleaseRemoteReads still knows to clean it up.
+          st->granted_remote_reads.emplace_back(primary, op.item);
+          if (!co_await sys_->SendCtrlReliable(primary, origin)) {
+            st->fail_cause = txn::AbortCause::kUnavailable;
             status = WaitStatus::kCancelled;
-          } else {
-            // Record the grant before the reply leg: if the grant message
-            // never arrives, ReleaseRemoteReads still knows to clean it up.
-            st->granted_remote_reads.emplace_back(primary, op.item);
-            if (!co_await sys_->SendCtrlReliable(primary, origin)) {
-              st->fail_cause = txn::AbortCause::kUnavailable;
-              status = WaitStatus::kCancelled;
-            }
           }
         }
       }
@@ -150,18 +144,9 @@ sim::Process LockingProtocol::Execute(txn::Transaction* t) {
       // the reader) and deadlock the completion fixpoint. They read the
       // version unregistered and record no wr edge — the MVSG recorder
       // still sees the read, so the lost guarantee stays measurable.
-      db::Timestamp version = lock_free_reads
-                                  ? origin.store.VersionOf(op.item)
-                                  : origin.store.Read(op.item, t->id);
-      if (sys_->history() != nullptr) {
-        sys_->history()->RecordRead(t->id, op.item, version);
-      }
-      sys_->TraceRead(*t, op.item, version);
-      if (lock_free_reads) {
-        read_versions.emplace_back(op.item, version);
-      } else if (version.txn != db::kNoTxn) {
-        st->edges.emplace_back(t->id, version.txn);  // wr: writer precedes us
-      }
+      db::Timestamp version =
+          ReadAtOrigin(t, op.item, lock_free_reads ? nullptr : &st->edges);
+      if (lock_free_reads) read_versions.emplace_back(op.item, version);
     }
   }
 

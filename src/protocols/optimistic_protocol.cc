@@ -30,14 +30,7 @@ sim::Process OptimisticProtocol::Execute(txn::Transaction* t) {
     }
     co_await sys_->ExecuteOpCost(t->origin);
     if (op.type == db::OpType::kRead) {
-      db::Timestamp version = origin.store.Read(op.item, t->id);
-      if (sys_->history() != nullptr) {
-        sys_->history()->RecordRead(t->id, op.item, version);
-      }
-      sys_->TraceRead(*t, op.item, version);
-      if (version.txn != db::kNoTxn) {
-        edges.emplace_back(t->id, version.txn);
-      }
+      db::Timestamp version = ReadAtOrigin(t, op.item, &edges);
       if (lock_free_reads) read_versions.emplace_back(op.item, version);
     }
   }

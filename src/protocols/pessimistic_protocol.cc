@@ -81,14 +81,7 @@ sim::Process PessimisticProtocol::Execute(txn::Transaction* t) {
     }
     co_await sys_->ExecuteOpCost(t->origin);
     if (op.type == db::OpType::kRead) {
-      db::Timestamp version = origin.store.Read(op.item, t->id);
-      if (sys_->history() != nullptr) {
-        sys_->history()->RecordRead(t->id, op.item, version);
-      }
-      sys_->TraceRead(*t, op.item, version);
-      if (version.txn != db::kNoTxn) {
-        st->edges.emplace_back(t->id, version.txn);
-      }
+      db::Timestamp version = ReadAtOrigin(t, op.item, &st->edges);
       if (lock_free_reads) read_versions.emplace_back(op.item, version);
     }
   }

@@ -1,9 +1,6 @@
 #include "protocols/protocol.h"
 
-#include <utility>
 #include <vector>
-
-#include "core/system.h"
 
 namespace lazyrep::proto {
 
@@ -33,6 +30,30 @@ sim::Task<bool> Protocol::ApplyAtOrigin(txn::Transaction* t) {
   co_return true;
 }
 
+db::Timestamp Protocol::ReadAtOrigin(txn::Transaction* t, db::ItemId item,
+                                     core::System::ConflictEdges* edges) {
+  db::ItemStore& store = sys_->site(t->origin).store;
+  db::Timestamp version =
+      edges != nullptr ? store.Read(item, t->id) : store.VersionOf(item);
+  if (sys_->history() != nullptr) {
+    sys_->history()->RecordRead(t->id, item, version);
+  }
+  sys_->TraceRead(*t, item, version);
+  if (edges != nullptr && version.txn != db::kNoTxn) {
+    edges->emplace_back(t->id, version.txn);  // wr: writer precedes us
+  }
+  return version;
+}
+
+Protocol::Reach Protocol::Reached(db::SiteId from, db::SiteId dst,
+                                  Retry retry) {
+  if (!sys_->fault_enabled()) {
+    return Reach(sys_->site(dst).cpu.Execute(sys_->config().message_instr));
+  }
+  if (retry == Retry::kBounded) return Reach(sys_->SendCtrlReliable(from, dst));
+  return Reach(sys_->SendCtrlAssured(from, dst));
+}
+
 sim::Task<void> Protocol::PropagateWrites(txn::Transaction* t, AckTo ack) {
   const core::SystemConfig& cfg = sys_->config();
   std::vector<db::SiteId> targets = sys_->ReplicaTargets(*t, t->origin);
@@ -41,31 +62,13 @@ sim::Task<void> Protocol::PropagateWrites(txn::Transaction* t, AckTo ack) {
   sim::Countdown* origin_acks = ack == AckTo::kOrigin ? &acks : nullptr;
   size_t bytes =
       cfg.propagation_overhead_bytes + t->write_set.size() * cfg.item_bytes;
-  if (sys_->fault_enabled()) {
-    // Per-target reliable delivery: a lost multicast leg must be
-    // retransmitted point-to-point anyway, and every leg must eventually
-    // install (or an origin's ack countdown would never resolve), so fault
-    // mode sends each target its own assured payload.
-    for (db::SiteId dst : targets) {
-      sys_->sim().Spawn(ShipWrites(t, dst, bytes, origin_acks));
-    }
-  } else {
-    co_await sys_->site(t->origin).cpu.Execute(cfg.message_instr);
-    // Named lvalue: see EagerProtocol::AcquireReplicaLocks for the
-    // toolchain bug this avoids.
-    net::Network::DeliveryFn install = [this, t, origin_acks](db::SiteId dst) {
-      sys_->sim().Spawn(InstallAt(t, dst, origin_acks));
-    };
-    co_await sys_->network().Multicast(t->origin, targets, bytes,
-                                       std::move(install));
-  }
+  // Every copy must eventually install, or an origin's ack countdown would
+  // never resolve: retry forever.
+  auto install = [this, t, origin_acks](db::SiteId dst) {
+    sys_->sim().Spawn(InstallAt(t, dst, origin_acks));
+  };
+  co_await FanOutPayload(t->origin, targets, bytes, Retry::kForever, install);
   if (origin_acks != nullptr) co_await acks.Wait();
-}
-
-sim::Process Protocol::ShipWrites(txn::Transaction* t, db::SiteId dst,
-                                  size_t bytes, sim::Countdown* origin_acks) {
-  co_await sys_->SendPayloadAssured(t->origin, dst, bytes);
-  sys_->sim().Spawn(InstallAt(t, dst, origin_acks));
 }
 
 sim::Process Protocol::InstallAt(txn::Transaction* t, db::SiteId dst,
@@ -102,32 +105,17 @@ sim::Process Protocol::AnnounceCompletion(db::TxnId id, db::SiteId origin) {
   for (int s = 0; s < cfg.num_sites; ++s) {
     if (s != origin) others.push_back(static_cast<db::SiteId>(s));
   }
-  if (sys_->fault_enabled()) {
-    for (db::SiteId dst : others) {
-      sys_->sim().Spawn(CompletionLeg(id, origin, dst));
-    }
-    co_return;
-  }
-  co_await sys_->site(origin).cpu.Execute(cfg.message_instr);
-  // Named lvalue: see EagerProtocol::AcquireReplicaLocks.
-  net::Network::DeliveryFn complete = [this, id](db::SiteId dst) {
-    sys_->sim().Spawn([](Protocol* self, db::TxnId txn,
-                         db::SiteId site) -> sim::Process {
-      co_await self->sys_->site(site).cpu.Execute(
-          self->sys_->config().message_instr);
-      self->sys_->site(site).locks.ReleaseAll(txn);
-      self->sys_->tracker().NotifyCompletionAtSite(txn, site);
-    }(this, id, dst));
+  auto start_leg = [this, id, origin](db::SiteId dst) {
+    sys_->sim().Spawn(CompletionLeg(id, origin, dst));
   };
-  co_await sys_->network().Multicast(origin, others, cfg.ctrl_msg_bytes,
-                                     std::move(complete));
+  co_await FanOutCtrl(origin, others, start_leg);
 }
 
 sim::Process Protocol::CompletionLeg(db::TxnId id, db::SiteId origin,
                                      db::SiteId dst) {
-  // Reliable point-to-point completion notice: a lost leg would strand the
-  // transaction's relayed read locks and its dependents' fixpoints forever.
-  co_await sys_->SendCtrlAssured(origin, dst);
+  // Retried forever: a lost notice would strand the transaction's relayed
+  // read locks and its dependents' fixpoints.
+  co_await Reached(origin, dst, Retry::kForever);
   sys_->site(dst).locks.ReleaseAll(id);
   sys_->tracker().NotifyCompletionAtSite(id, dst);
 }

@@ -1,16 +1,17 @@
 #ifndef LAZYREP_PROTOCOLS_PROTOCOL_H_
 #define LAZYREP_PROTOCOLS_PROTOCOL_H_
 
+#include <coroutine>
 #include <cstddef>
+#include <utility>
+#include <variant>
+#include <vector>
 
+#include "core/system.h"
 #include "db/types.h"
 #include "sim/condition.h"
 #include "sim/process.h"
 #include "txn/transaction.h"
-
-namespace lazyrep::core {
-class System;
-}  // namespace lazyrep::core
 
 namespace lazyrep::proto {
 
@@ -18,10 +19,11 @@ namespace lazyrep::proto {
 /// (execution at the origination site, commit, lazy replica propagation,
 /// completion) against the shared System substrate.
 ///
-/// The lazy protocols differ only in how they control concurrency at the
-/// origin. What they share — committing at the origin, propagating the write
-/// set to the replicas, and completion — is written once here, as protected
-/// helpers each protocol calls at its own decision points.
+/// The protocols differ only in how they control concurrency. What they
+/// share — reading and committing at the origin, fanning a message out to
+/// many sites, propagating the write set to the replicas, and completion —
+/// is written once here, as protected helpers each protocol calls at its own
+/// decision points.
 class Protocol {
  public:
   explicit Protocol(core::System* system) : sys_(system) {}
@@ -54,6 +56,32 @@ class Protocol {
     kGraphSite,
   };
 
+  /// How hard a fan-out leg's own copy tries when faults are on: kBounded
+  /// may give up (SendCtrlReliable, SendPayloadReliable), kForever never
+  /// does (SendCtrlAssured, SendPayloadAssured).
+  enum class Retry { kBounded, kForever };
+
+  /// What Reached returns: the receive charge (faults off) or the leg's own
+  /// send (faults on), awaited in place. Resolves true once the message is
+  /// in hand at the leg's site.
+  class Reach {
+   public:
+    template <typename T>
+    explicit Reach(sim::Task<T> step) : step_(std::move(step)) {}
+    bool await_ready() const noexcept { return false; }
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> leg) {
+      return std::visit([leg](auto& step) { return step.await_suspend(leg); },
+                        step_);
+    }
+    bool await_resume() {
+      auto* sent = std::get_if<sim::Task<bool>>(&step_);
+      return sent == nullptr || sent->await_resume();
+    }
+
+   private:
+    std::variant<sim::Task<sim::WaitStatus>, sim::Task<bool>> step_;
+  };
+
   /// OnRegister for protocols whose every replica target reports its own
   /// subtransaction commit: an update commits at its origin plus every
   /// replica target, a read-only transaction only at its origin.
@@ -64,6 +92,43 @@ class Protocol {
   /// with nothing applied, when a crash mid-force lost the commit record:
   /// the caller must abort with AbortCause::kSiteFailure.
   sim::Task<bool> ApplyAtOrigin(txn::Transaction* t);
+
+  /// The origin read step: reads `item` at `t`'s origin and records the read
+  /// for the serializability checker and the trace. With `edges`, the read
+  /// registers with the store and its wr edge joins `edges`; without, it is
+  /// an unregistered read (locking's lock-free two-version readers).
+  db::Timestamp ReadAtOrigin(txn::Transaction* t, db::ItemId item,
+                             core::System::ConflictEdges* edges);
+
+  // -- fan-out: the one place that chooses how a message reaches many sites.
+  // Faults off, one send charge and one multicast carry every copy; faults
+  // on, each target gets its own copy over the reliable channel. Pass the
+  // per-target callable as a named lvalue: see net::Network::Multicast for
+  // the toolchain bug a prvalue lambda hits.
+
+  /// Control fan-out: start_leg(dst) spawns (or, to skip dst, does not
+  /// spawn) the leg at each target, a process that opens with `co_await
+  /// Reached(from, dst, retry)` and carries on there. It runs as each
+  /// multicast copy lands, or at once when each leg sends its own copy.
+  template <typename StartLeg>
+  sim::Task<void> FanOutCtrl(db::SiteId from,
+                             const std::vector<db::SiteId>& dsts,
+                             const StartLeg& start_leg);
+
+  /// A control leg's opening step: the receive charge (true) when the
+  /// multicast carried the message, else the leg's own SendCtrlReliable or
+  /// SendCtrlAssured. Not a coroutine: a leg parked on retries across an
+  /// outage holds no frame beyond the send's.
+  Reach Reached(db::SiteId from, db::SiteId dst, Retry retry);
+
+  /// Payload fan-out: calls arrive(dst) as each copy lands, to hand off to a
+  /// fresh process. A kBounded copy that gives up skips its target.
+  /// Resolves true when every copy is certain to land (faults off).
+  template <typename Arrive>
+  sim::Task<bool> FanOutPayload(db::SiteId from,
+                                const std::vector<db::SiteId>& dsts,
+                                size_t bytes, Retry retry,
+                                const Arrive& arrive);
 
   /// Lazy propagation of a committed update: ships the write set to every
   /// replica target, where System::InstallReplica installs it and the site
@@ -91,20 +156,21 @@ class Protocol {
   core::System* sys_;
 
  private:
-  /// Fault-mode propagation to one target: a reliably delivered payload,
-  /// then the install.
-  sim::Process ShipWrites(txn::Transaction* t, db::SiteId dst, size_t bytes,
-                          sim::Countdown* origin_acks);
+  /// One target's copy of a payload fan-out, faults on.
+  template <typename Arrive>
+  sim::Process PayloadLeg(db::SiteId from, db::SiteId dst, size_t bytes,
+                          Retry retry, Arrive arrive);
 
   /// Installs the write set at `dst`, then acks: to `origin_acks` when
   /// non-null, else to the graph site.
   sim::Process InstallAt(txn::Transaction* t, db::SiteId dst,
                          sim::Countdown* origin_acks);
 
-  /// Multicasts the completion notice of CompleteEverywhere.
+  /// Fans CompleteEverywhere's notice out to every other site.
   sim::Process AnnounceCompletion(db::TxnId id, db::SiteId origin);
 
-  /// Fault-mode completion notice to one site (replaces a multicast leg).
+  /// The completion notice at `dst`: its relayed read locks fall and its
+  /// completion fixpoint advances.
   sim::Process CompletionLeg(db::TxnId id, db::SiteId origin, db::SiteId dst);
 
   /// Removes `id` from the replication graph. A removal the origin asks for
@@ -116,6 +182,50 @@ class Protocol {
   /// and bookkeeping ride on the tracker; this models the message cost).
   sim::Process NotifyOrigin(db::SiteId origin);
 };
+
+template <typename StartLeg>
+sim::Task<void> Protocol::FanOutCtrl(db::SiteId from,
+                                     const std::vector<db::SiteId>& dsts,
+                                     const StartLeg& start_leg) {
+  if (sys_->fault_enabled()) {
+    for (db::SiteId dst : dsts) start_leg(dst);
+    co_return;
+  }
+  co_await sys_->site(from).cpu.Execute(sys_->config().message_instr);
+  net::Network::DeliveryFn deliver = start_leg;
+  co_await sys_->network().Multicast(from, dsts, sys_->config().ctrl_msg_bytes,
+                                     std::move(deliver));
+}
+
+template <typename Arrive>
+sim::Task<bool> Protocol::FanOutPayload(db::SiteId from,
+                                        const std::vector<db::SiteId>& dsts,
+                                        size_t bytes, Retry retry,
+                                        const Arrive& arrive) {
+  if (sys_->fault_enabled()) {
+    for (db::SiteId dst : dsts) {
+      sys_->sim().Spawn(PayloadLeg(from, dst, bytes, retry, arrive));
+    }
+    co_return false;
+  }
+  co_await sys_->site(from).cpu.Execute(sys_->config().message_instr);
+  net::Network::DeliveryFn deliver = arrive;
+  co_await sys_->network().Multicast(from, dsts, bytes, std::move(deliver));
+  co_return true;
+}
+
+template <typename Arrive>
+sim::Process Protocol::PayloadLeg(db::SiteId from, db::SiteId dst,
+                                  size_t bytes, Retry retry, Arrive arrive) {
+  // No co_await in a condition here: see DESIGN.md on GCC 12.2.
+  bool landed = true;
+  if (retry == Retry::kForever) {
+    co_await sys_->SendPayloadAssured(from, dst, bytes);
+  } else {
+    landed = co_await sys_->SendPayloadReliable(from, dst, bytes);
+  }
+  if (landed) arrive(dst);
+}
 
 }  // namespace lazyrep::proto
 

@@ -1,7 +1,9 @@
-# Runs ${PROGRAM} ${ARG} and fails unless it exits with ${EXPECT_CODE} and
-# its stderr contains ${EXPECT_STDERR}. Invoked by ctest through
+# Runs ${PROGRAM} with the space-separated arguments ${ARG} and fails unless
+# it exits with ${EXPECT_CODE} and its stderr contains ${EXPECT_STDERR}.
+# Invoked by ctest through
 #   cmake -DPROGRAM=... -DARG=... -DEXPECT_CODE=... -DEXPECT_STDERR=... -P
-execute_process(COMMAND "${PROGRAM}" "${ARG}"
+separate_arguments(args UNIX_COMMAND "${ARG}")
+execute_process(COMMAND "${PROGRAM}" ${args}
                 RESULT_VARIABLE code
                 OUTPUT_QUIET
                 ERROR_VARIABLE err)

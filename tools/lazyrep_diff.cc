@@ -14,11 +14,11 @@
 // Exit status: 0 identical, 1 divergence found, 2 usage or read error.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "core/flag_parse.h"
 #include "replay/trace_diff.h"
 #include "trace/trace_reader.h"
 
@@ -34,9 +34,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strncmp(a, "--point=", 8) == 0) {
-      only_point = std::atoi(a + 8);
+      lazyrep::core::ParseOrDie(a, a + 8, &only_point, 0);
     } else if (std::strncmp(a, "--context=", 10) == 0) {
-      opt.context = std::atoi(a + 10);
+      lazyrep::core::ParseOrDie(a, a + 10, &opt.context, 0);
     } else if (std::strcmp(a, "--help") == 0) {
       std::printf(
           "usage: lazyrep_diff A.trace B.trace [--point=N] [--context=N]\n"

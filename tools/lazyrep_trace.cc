@@ -18,6 +18,7 @@
 #include <cstring>
 #include <string>
 
+#include "core/flag_parse.h"
 #include "trace/trace_analysis.h"
 #include "trace/trace_reader.h"
 
@@ -30,6 +31,10 @@ using lazyrep::trace::Percentiles;
 using lazyrep::trace::PointAnalysis;
 using lazyrep::trace::PointTrace;
 using lazyrep::trace::TraceFile;
+
+/// Most abort-timeline buckets --buckets takes: more rows than a terminal
+/// shows, and a bound on the table's memory.
+constexpr int kMaxBuckets = 10000;
 
 const char* ProtocolLabel(uint32_t protocol) {
   static const char* const kNames[] = {"locking", "pessimistic", "optimistic",
@@ -174,7 +179,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--timeline") == 0) {
       timeline = true;
     } else if (std::strncmp(a, "--buckets=", 10) == 0) {
-      buckets = std::atoi(a + 10);
+      lazyrep::core::ParseOrDie(a, a + 10, &buckets, 1, kMaxBuckets);
     } else if (std::strcmp(a, "--help") == 0) {
       std::printf("usage: lazyrep_trace FILE [--audit] [--json] [--by-site] "
                   "[--by-dc] [--timeline] [--buckets=N]\n");
