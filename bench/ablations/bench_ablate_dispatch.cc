@@ -55,5 +55,5 @@ int main(int argc, char** argv) {
       "response times by roughly the operation count on a 100 ms network\n"
       "(10 x 0.2 s round trips); the optimistic protocol, which has no\n"
       "per-operation control traffic, is unaffected.\n");
-  return 0;
+  return core::EmptyWindowStatus(specs, ms);
 }

@@ -104,5 +104,5 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < specs.size(); ++i) {
     PrintPoint(sweeps[i], xs[i], ms[i], specs[i].protocol);
   }
-  return 0;
+  return core::EmptyWindowStatus(specs, ms);
 }

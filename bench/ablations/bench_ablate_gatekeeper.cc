@@ -56,5 +56,5 @@ int main(int argc, char** argv) {
       "\nExpected (§4.3): tightening the gate lowers the update abort share\n"
       "(updates see less read contention) at the cost of queued read-only\n"
       "response time.\n");
-  return 0;
+  return core::EmptyWindowStatus(specs, ms);
 }

@@ -56,5 +56,5 @@ int main(int argc, char** argv) {
       "\nExpected: large/infinite bounds let the pessimistic queue grow and\n"
       "waits time out instead (wait-timeouts replace rejections); tiny\n"
       "bounds abort early. Throughput is flat across sane bounds (§4.1.2).\n");
-  return 0;
+  return core::EmptyWindowStatus(specs, ms);
 }

@@ -58,5 +58,5 @@ int main(int argc, char** argv) {
       "items, concentrating contention as k drops. Which force wins depends\n"
       "on k and the hot-spot size — at small k the read concentration\n"
       "dominates in this workload.\n");
-  return 0;
+  return core::EmptyWindowStatus(specs, ms);
 }

@@ -53,5 +53,5 @@ int main(int argc, char** argv) {
       "little sensitivity' (their waits resolve at the graph site); the\n"
       "locking protocol, whose congestion lives in lock queues, converts\n"
       "aborts into ever-longer waits as the timeout grows.\n");
-  return 0;
+  return core::EmptyWindowStatus(specs, ms);
 }

@@ -60,5 +60,5 @@ int main(int argc, char** argv) {
       "the locking protocol gains speed but has no equivalent guard for\n"
       "read-only transactions — exactly why the paper expects multiversioning\n"
       "to favor the replication-graph approach.\n");
-  return 0;
+  return core::EmptyWindowStatus(specs, ms);
 }

@@ -149,7 +149,7 @@ int RunChaos(const core::BenchOptions& opt, const ChaosCli& cli) {
               specs.size(), opt.protocols.size(), cli.schedules, violations);
   std::fflush(stdout);
   if (cli.check && violations > 0) return 1;
-  return 0;
+  return core::EmptyWindowStatus(specs, ms);
 }
 
 core::SystemConfig A9Config(const core::ChaosOptions& chaos,
@@ -213,7 +213,7 @@ int RunA9(const core::BenchOptions& opt, const ChaosCli& cli) {
       }
     }
   }
-  return 0;
+  return core::EmptyWindowStatus(specs, ms);
 }
 
 }  // namespace

@@ -171,7 +171,7 @@ ScenarioResult CoroutineHops(int rounds) {
   });
 }
 
-Process MulticastDriver(Simulation* sim, net::Network* net,
+Process MulticastDriver(net::Network* net,
                         const std::vector<db::SiteId>* dsts, int sends,
                         uint64_t* delivered) {
   for (int i = 0; i < sends; ++i) {
@@ -193,14 +193,13 @@ ScenarioResult Multicast(int rounds) {
   for (int s = 1; s < kSites; ++s) dsts.push_back(static_cast<db::SiteId>(s));
   uint64_t delivered = 0;
   return Measure("multicast", rounds, &sim, [&] {
-    sim.Spawn(MulticastDriver(&sim, &net, &dsts, kSends, &delivered));
+    sim.Spawn(MulticastDriver(&net, &dsts, kSends, &delivered));
     sim.Run();
   });
 }
 
-Process GeoDriver(Simulation* sim, net::Network* net,
-                  const std::vector<db::SiteId>* dsts, int sends,
-                  uint64_t* delivered) {
+Process GeoDriver(net::Network* net, const std::vector<db::SiteId>* dsts,
+                  int sends, uint64_t* delivered) {
   for (int i = 0; i < sends; ++i) {
     // One cross-backbone unicast plus one all-sites multicast per iteration:
     // the routed hot path (route tables, per-subtree fan-out, climb legs).
@@ -229,7 +228,7 @@ ScenarioResult GeoMulticast(int rounds) {
   for (int s = 1; s < kSites; ++s) dsts.push_back(static_cast<db::SiteId>(s));
   uint64_t delivered = 0;
   return Measure("geo_multicast", rounds, &sim, [&] {
-    sim.Spawn(GeoDriver(&sim, &net, &dsts, kSends, &delivered));
+    sim.Spawn(GeoDriver(&net, &dsts, kSends, &delivered));
     sim.Run();
   });
 }

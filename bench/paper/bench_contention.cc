@@ -22,7 +22,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strncmp(a, "--txns=", 7) == 0) {
-      core::ParseOrDie(a, a + 7, &txns, uint64_t{1});
+      core::ParseOrDie(a, a + 7, &txns, uint64_t{1},
+                       core::SystemConfig::kMaxTxns);
     } else {
       std::fprintf(stderr, "unknown flag %s (usage: bench_contention "
                    "[--txns=N])\n", a);

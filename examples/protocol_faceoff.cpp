@@ -39,7 +39,8 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(a, "--latency=", 10) == 0) {
       ParseOrDie(a, a + 10, &c.network.latency, 0.0);
     } else if (std::strncmp(a, "--txns=", 7) == 0) {
-      ParseOrDie(a, a + 7, &c.total_txns, uint64_t{1});
+      ParseOrDie(a, a + 7, &c.total_txns, uint64_t{1},
+                 core::SystemConfig::kMaxTxns);
     } else {
       std::fprintf(stderr, "unknown flag %s\n", a);
       return 2;

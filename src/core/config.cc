@@ -35,6 +35,7 @@ void SystemConfig::Normalize() {
   workload.replication_degree = full_replication() ? 0 : replicas_per_item();
   LAZYREP_CHECK(num_sites >= 1 && num_sites <= kMaxSites);
   LAZYREP_CHECK(tps > 0);
+  LAZYREP_CHECK(total_txns <= kMaxTxns);
   LAZYREP_CHECK(workload.items_per_site >= 1);
   std::string topo_error;
   LAZYREP_CHECK_MSG(topology.Validate(&topo_error), topo_error.c_str());

@@ -29,6 +29,9 @@ struct SystemConfig {
   /// Largest num_sites: site ids are db::SiteId (uint16_t), and the graph
   /// site's endpoint takes the id after the last site.
   static constexpr int kMaxSites = 65534;
+  /// Largest total_txns: transaction ids run 1..total_txns, and a replica
+  /// keeps its version's writer as a 32-bit id (db::ItemStore).
+  static constexpr uint64_t kMaxTxns = UINT32_MAX;
 
   // -- general ---------------------------------------------------------------
   int num_sites = 100;

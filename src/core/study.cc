@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -291,6 +292,20 @@ int EmptyWindowStatus(const std::vector<StudyPoint>& points) {
   return status;
 }
 
+int EmptyWindowStatus(const std::vector<RunSpec>& specs,
+                      const std::vector<MetricsSnapshot>& snapshots) {
+  int status = 0;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    if (snapshots[i].completed > 0) continue;
+    std::fprintf(stderr,
+                 "%s, run %zu: no transaction completed, the measurement "
+                 "window was empty (raise --txns)\n",
+                 ProtocolKindName(specs[i].protocol), i);
+    status = 1;
+  }
+  return status;
+}
+
 BenchOptions BenchOptions::Parse(
     int argc, char** argv, std::initializer_list<std::string_view> own_flags) {
   BenchOptions opt;
@@ -302,13 +317,14 @@ BenchOptions BenchOptions::Parse(
   };
   // Every numeric input is parsed whole and range-checked; a bad one exits 2
   // naming it, before any run starts.
-  auto from_env = [](const char* name, auto* out, auto lo) {
+  auto from_env = [](const char* name, auto* out, auto lo, auto hi) {
     if (const char* v = std::getenv(name)) {
-      ParseOrDie((std::string(name) + "=" + v).c_str(), v, out, lo);
+      ParseOrDie((std::string(name) + "=" + v).c_str(), v, out, lo, hi);
     }
   };
-  from_env("LAZYREP_TXNS", &opt.txns, uint64_t{1});
-  from_env("LAZYREP_JOBS", &opt.jobs, 0);  // 0 = hardware_concurrency
+  from_env("LAZYREP_TXNS", &opt.txns, uint64_t{1}, SystemConfig::kMaxTxns);
+  // 0 = hardware_concurrency
+  from_env("LAZYREP_JOBS", &opt.jobs, 0, std::numeric_limits<int>::max());
   // Any other LAZYREP_ name is a typo or a stale setting (the removed
   // LAZYREP_KERNEL_THREADS, say): refuse it as an unknown flag is refused.
   for (char** env = environ; *env != nullptr; ++env) {
@@ -324,7 +340,7 @@ BenchOptions BenchOptions::Parse(
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strncmp(a, "--txns=", 7) == 0) {
-      ParseOrDie(a, a + 7, &opt.txns, uint64_t{1});
+      ParseOrDie(a, a + 7, &opt.txns, uint64_t{1}, SystemConfig::kMaxTxns);
     } else if (std::strncmp(a, "--points=", 9) == 0) {
       ParseOrDie(a, a + 9, &opt.max_points, 0);
     } else if (std::strncmp(a, "--figure=", 9) == 0) {

@@ -156,6 +156,12 @@ void PrintFigure(const std::vector<StudyPoint>& points,
 /// to get past the warm-up, say) would otherwise plot as a measured zero.
 int EmptyWindowStatus(const std::vector<StudyPoint>& points);
 
+/// The same status for benches that run their specs through RunAll (the
+/// ablations, bench_chaos): `snapshots[i]` is spec i's, and an empty run is
+/// named by its protocol and spec index.
+int EmptyWindowStatus(const std::vector<RunSpec>& specs,
+                      const std::vector<MetricsSnapshot>& snapshots);
+
 /// Standard sweep-value parser for bench binaries: reads --txns=, --points=,
 /// --figure=, --protocols=, --jobs= and scale overrides from
 /// argv/environment (LAZYREP_TXNS, LAZYREP_JOBS). Shared by all paper

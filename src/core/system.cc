@@ -13,7 +13,7 @@
 namespace lazyrep::core {
 
 System::System(const SystemConfig& config, ProtocolKind kind)
-    : config_(config), kind_(kind) {
+    : config_(config), kind_(kind), commit_times_(config.total_txns) {
   config_.Normalize();
   workload_ =
       std::make_unique<GeneratedWorkload>(config_.workload, config_.loc_tps());
@@ -22,7 +22,7 @@ System::System(const SystemConfig& config, ProtocolKind kind)
   for (int s = 0; s < config_.num_sites; ++s) {
     sites_.push_back(std::make_unique<Site>(
         &sim_, static_cast<db::SiteId>(s), config_,
-        config_.seed * 1000003 + s));
+        config_.seed * 1000003 + s, &commit_times_));
   }
   // The graph site's endpoint is allocated explicitly from the topology
   // (an auxiliary leaf at the root switch), replacing the historical

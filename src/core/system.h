@@ -41,12 +41,12 @@ namespace lazyrep::core {
 /// manager, and its replica set.
 struct Site {
   Site(sim::Simulation* sim, db::SiteId id, const SystemConfig& config,
-       uint64_t disk_seed)
+       uint64_t disk_seed, db::CommitTimes* commit_times)
       : id(id),
         cpu(sim, "cpu_" + std::to_string(id), config.cpu_mips),
         disk(sim, "disk_" + std::to_string(id), config.disk, disk_seed),
         locks(sim),
-        store(static_cast<uint32_t>(config.total_items())) {}
+        store(static_cast<uint32_t>(config.total_items()), commit_times) {}
 
   db::SiteId id;
   hw::Cpu cpu;
@@ -369,6 +369,8 @@ class System {
   ProtocolKind kind_;
   sim::Simulation sim_;
   std::unique_ptr<WorkloadSource> workload_;
+  /// Every writer's commit time, shared by the sites' stores.
+  db::CommitTimes commit_times_;
   std::vector<std::unique_ptr<Site>> sites_;
   std::unique_ptr<net::Network> network_;
   db::SiteId graph_endpoint_ = 0;

@@ -1,6 +1,7 @@
 // Unit tests for the local-DBMS substrate (src/db): lock manager, item store
 // with the Thomas Write Rule, and the completion tracker.
 
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "db/types.h"
 #include "sim/frame_pool.h"
 #include "sim/process.h"
+#include "sim/random.h"
 #include "sim/simulation.h"
 
 namespace lazyrep::db {
@@ -463,6 +465,158 @@ TEST(ItemStoreTest, ReaderPoolStaysAtPeakLiveRegistrations) {
     ASSERT_TRUE(store.ReadersOf(b).empty());
   }
   EXPECT_EQ(store.reader_pool_size(), kPeakLive);
+}
+
+TEST(ItemStoreTest, StoresSharingCommitTimesAgreeOnVersions) {
+  CommitTimes times(8);
+  ItemStore a(10, &times);
+  ItemStore b(10, &times);
+  a.ApplyWrite(3, Timestamp{1.5, 7});
+  b.ApplyWrite(4, Timestamp{1.5, 7});
+  EXPECT_EQ(a.VersionOf(3), (Timestamp{1.5, 7}));
+  EXPECT_EQ(b.VersionOf(4), (Timestamp{1.5, 7}));
+  EXPECT_EQ(b.VersionOf(3), kZeroTimestamp);
+  // An id past the reserved size grows the table.
+  b.ApplyWrite(3, Timestamp{2.0, 1000});
+  EXPECT_EQ(b.VersionOf(3), (Timestamp{2.0, 1000}));
+  EXPECT_EQ(a.VersionOf(3), (Timestamp{1.5, 7}));
+}
+
+TEST(ItemStoreDeathTest, OneTransactionWritingTwoTimesFailsTheCheck) {
+  CommitTimes times(8);
+  ItemStore a(10, &times);
+  ItemStore b(10, &times);
+  a.ApplyWrite(3, Timestamp{1.0, 7});
+  a.ApplyWrite(4, Timestamp{1.0, 7});  // the same time again is fine
+  EXPECT_DEATH(b.ApplyWrite(3, Timestamp{2.0, 7}), "two different timestamps");
+  // A TWR-ignored write is checked too.
+  a.ApplyWrite(5, Timestamp{9.0, 8});
+  EXPECT_DEATH(a.ApplyWrite(5, Timestamp{0.5, 7}), "two different timestamps");
+}
+
+TEST(ItemStoreTest, DifferentialFuzzAgainstNaiveModel) {
+  // A naive model (a Timestamp and a reader vector per item) against the
+  // store, over 4096 items with hundreds of items holding readers at once:
+  // the reader-head table grows past its initial 256 slots, wraps, and
+  // deletes by backward shift throughout.
+  constexpr ItemId kItems = 4096;
+  constexpr int kReaders = 600;
+  ItemStore store(kItems);
+  std::vector<Timestamp> model_version(kItems);
+  std::vector<std::vector<TxnId>> model_readers(kItems);
+  // Reader r (id kReaderBase + r) and the items it registered on.
+  constexpr TxnId kReaderBase = 1000000;
+  std::vector<std::vector<ItemId>> read_items(kReaders);
+  std::vector<double> writer_time = {0};  // index = writer id
+  sim::RandomStream rng(20260);
+  size_t live = 0;
+  size_t peak_live = 0;
+
+  auto registered = [&](ItemId item, TxnId reader) {
+    const std::vector<TxnId>& rs = model_readers[item];
+    return std::find(rs.begin(), rs.end(), reader) != rs.end();
+  };
+  for (int op = 0; op < 200000; ++op) {
+    // Reads dominate early so registrations build up, then the mix settles.
+    const double read_share = op < 20000 ? 0.9 : 0.45;
+    const double u = rng.Uniform01();
+    // Half the traffic hits a 512-item hot range so lists grow long.
+    const ItemId item = static_cast<ItemId>(rng.Chance(0.5)
+                                                ? rng.UniformInt(0, 511)
+                                                : rng.UniformInt(0, kItems - 1));
+    if (u < read_share) {
+      const int r = static_cast<int>(rng.UniformInt(0, kReaders - 1));
+      const TxnId reader = kReaderBase + r;
+      if (!registered(item, reader)) {
+        model_readers[item].push_back(reader);
+        read_items[r].push_back(item);
+        ++live;
+      }
+      ASSERT_EQ(store.Read(item, reader), model_version[item]) << "op " << op;
+    } else if (u < read_share + 0.35) {
+      // A new writer, or one that has written before (same time again).
+      TxnId writer;
+      if (writer_time.size() > 1 && rng.Chance(0.3)) {
+        writer = static_cast<TxnId>(
+            rng.UniformInt(1, static_cast<int64_t>(writer_time.size()) - 1));
+      } else {
+        writer = writer_time.size();
+        writer_time.push_back(rng.Uniform(0, 1000));
+      }
+      const Timestamp ts{writer_time[writer], writer};
+      const ItemStore::WriteResult r = store.ApplyWrite(item, ts);
+      ASSERT_EQ(r.other_writer, model_version[item].txn) << "op " << op;
+      if (ts > model_version[item]) {
+        ASSERT_TRUE(r.applied) << "op " << op;
+        ASSERT_EQ(std::vector<TxnId>(r.prior_readers.begin(),
+                                     r.prior_readers.end()),
+                  model_readers[item])
+            << "op " << op;
+        live -= model_readers[item].size();
+        model_readers[item].clear();
+        model_version[item] = ts;
+      } else {
+        ASSERT_FALSE(r.applied) << "op " << op;
+        ASSERT_TRUE(r.prior_readers.empty()) << "op " << op;
+      }
+    } else if (u < read_share + 0.5) {
+      // A reader finishes: drop every registration it made (some may have
+      // been taken by writes already).
+      const int r = static_cast<int>(rng.UniformInt(0, kReaders - 1));
+      const TxnId reader = kReaderBase + r;
+      for (ItemId i : read_items[r]) {
+        std::vector<TxnId>& rs = model_readers[i];
+        auto at = std::find(rs.begin(), rs.end(), reader);
+        if (at != rs.end()) {
+          rs.erase(at);
+          --live;
+        }
+      }
+      store.RemoveReader(reader, read_items[r]);
+      read_items[r].clear();
+    } else {
+      ASSERT_EQ(store.ReadersOf(item), model_readers[item]) << "op " << op;
+    }
+    peak_live = std::max(peak_live, live);
+  }
+  for (ItemId i = 0; i < kItems; ++i) {
+    ASSERT_EQ(store.VersionOf(i), model_version[i]) << "item " << i;
+    ASSERT_EQ(store.ReadersOf(i), model_readers[i]) << "item " << i;
+  }
+  EXPECT_GT(peak_live, 256u);
+  EXPECT_GT(store.reader_table_capacity(), 256u);
+  EXPECT_LE(store.reader_pool_size(), peak_live);
+}
+
+TEST(ItemStoreTest, ReaderTableCapacityStaysFixedAtSteadyState) {
+  // Each cycle registers readers on 300 distinct items (past the initial
+  // table's load limit), writes a third of them and removes the rest.
+  // After the warm-up cycle has grown the table, deletions must leave no
+  // residue that makes later cycles grow it again.
+  constexpr ItemId kItems = 4096;
+  ItemStore store(kItems);
+  sim::RandomStream rng(11);
+  TxnId next = 1;
+  auto cycle = [&] {
+    std::vector<ItemId> items;
+    const ItemId start = static_cast<ItemId>(rng.UniformInt(0, kItems - 1));
+    for (ItemId k = 0; k < 300; ++k) items.push_back((start + 7 * k) % kItems);
+    const TxnId reader = next++;
+    for (ItemId item : items) store.Read(item, reader);
+    const TxnId writer = next++;
+    for (size_t k = 0; k < items.size(); k += 3) {
+      store.ApplyWrite(items[k],
+                       Timestamp{static_cast<double>(writer), writer});
+    }
+    store.RemoveReader(reader, items);
+  };
+  cycle();  // warm-up
+  const size_t capacity = store.reader_table_capacity();
+  const size_t pool = store.reader_pool_size();
+  for (int i = 0; i < 10000; ++i) cycle();
+  EXPECT_EQ(store.reader_table_capacity(), capacity);
+  EXPECT_EQ(store.reader_pool_size(), pool);
+  for (ItemId i = 0; i < kItems; ++i) ASSERT_TRUE(store.ReadersOf(i).empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@
 //
 // Examples:
 //   lazyrep_cli --protocol=optimistic --preset=oc3 --tps=1800 --txns=20000
-//   lazyrep_cli --protocol=all --sites=12 --items=20 --latency=0.02 \
-//               --tps=400 --csv=sweep.csv
+//   lazyrep_cli --protocol=all --sites=12 --items=20 --latency=0.02
+//               --tps=400 --csv=sweep.csv          (one command)
 //   lazyrep_cli --help
 
 #include <cstdio>
@@ -211,7 +211,8 @@ int main(int argc, char** argv) {
     } else if (FlagValue(a, "--tps", &v)) {
       ParseOrDie(a, v, &config.tps, 0.0, kNoMax, kAboveZero);
     } else if (FlagValue(a, "--txns", &v)) {
-      ParseOrDie(a, v, &config.total_txns, uint64_t{1});
+      ParseOrDie(a, v, &config.total_txns, uint64_t{1},
+                 core::SystemConfig::kMaxTxns);
     } else if (FlagValue(a, "--read-fraction", &v)) {
       ParseOrDie(a, v, &config.workload.read_only_fraction, 0.0, 1.0);
     } else if (FlagValue(a, "--write-fraction", &v)) {
