@@ -3,7 +3,14 @@
 // partitions, the Network faulty-delivery hook, and the reliable
 // channel's retry/backoff/dedup behaviour across endpoint crashes.
 
+#include <algorithm>
+#include <set>
 #include <string>
+#include <tuple>
+#include <type_traits>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -502,6 +509,334 @@ TEST(ReliableChannelTest, LostAckTriggersDedupedRetransmission) {
   ASSERT_EQ(charged.size(), 2u);
   EXPECT_EQ(charged[0], 1);
   EXPECT_EQ(charged[1], 0);
+}
+
+
+// -- dedup: when a delivered copy counts as a duplicate ---------------------
+
+/// Drops the first `n` acks (legs into site 0) and delivers everything else.
+net::Network::FaultHook DropFirstAcks(int* n) {
+  return [n](SiteId, SiteId dst) {
+    if (dst == 0 && *n > 0) {
+      --*n;
+      return 0;
+    }
+    return 1;
+  };
+}
+
+TEST(ReliableChannelTest, EachLostAckMakesTheNextCopyExactlyOneDuplicate) {
+  for (int lost = 1; lost <= 3; ++lost) {
+    Simulation sim;
+    net::Network net(&sim, 2, net::NetworkParams{0.0, 1e9});
+    int acks_to_drop = lost;
+    net.set_fault_hook(DropFirstAcks(&acks_to_drop));
+    ReliableChannel ch(&sim, &net, ChannelParams(), 64);
+    bool ok = false;
+    double done = -1;
+    sim.Spawn(DoSend(&sim, &ch, 0, 1, 128, kRetryForever, &ok, &done));
+    sim.Run();
+    EXPECT_TRUE(ok) << lost;
+    EXPECT_EQ(ch.retransmissions(), static_cast<uint64_t>(lost));
+    EXPECT_EQ(ch.dup_deliveries(), static_cast<uint64_t>(lost));
+    EXPECT_EQ(ch.delivered(), 1u);
+  }
+}
+
+TEST(ReliableChannelTest, ReceiverCrashBetweenCopiesMakesTheNextCopyFresh) {
+  // The first copy lands and its ack is lost. The receiver's amnesia crash
+  // then wipes its dedup state before the retransmission arrives, so that
+  // copy is new to the rebooted receiver: fresh, not a duplicate.
+  Simulation sim;
+  net::Network net(&sim, 2, net::NetworkParams{0.0, 1e9});
+  int acks_to_drop = 2;
+  net.set_fault_hook(DropFirstAcks(&acks_to_drop));
+  ReliableChannel ch(&sim, &net, ChannelParams(), 64);
+  sim.ScheduleCallbackAt(0.02, [&ch] { ch.OnEndpointCrash(1); });
+  bool ok = false;
+  double done = -1;
+  sim.Spawn(DoSend(&sim, &ch, 0, 1, 128, kRetryForever, &ok, &done));
+  sim.Run();
+  EXPECT_TRUE(ok);
+  // Copies at 0 (fresh), 0.05 (fresh after the wipe; its ack lost too) and
+  // 0.15 (a duplicate of the 0.05 copy).
+  EXPECT_EQ(ch.retransmissions(), 2u);
+  EXPECT_EQ(ch.dup_deliveries(), 1u);
+  EXPECT_EQ(ch.delivered(), 1u);
+  EXPECT_EQ(ch.incarnation(1), 1u);
+}
+
+TEST(ReliableChannelTest, SenderIncarnationFlapResetsDedupUntilTheFlowSettles) {
+  // Send A starts before the sender's amnesia crash and keeps retrying
+  // after it under the old incarnation; send B starts after it under the
+  // new one. While their copies alternate, each copy finds the flow last
+  // set by the other incarnation, which resets the receiver's dedup state:
+  // every copy is fresh. Once B is done, A's next two copies meet a settled
+  // flow and the second is a duplicate.
+  Simulation sim;
+  net::Network net(&sim, 2, net::NetworkParams{0.0, 1e9});
+  // Acks in order: A@0, B@0.02 and A@0.05 are lost, B@0.07 lands, A@0.15
+  // is lost, A@0.35 lands.
+  std::vector<int> ack_verdicts = {0, 0, 0, 1, 0, 1};
+  size_t next_ack = 0;
+  net.set_fault_hook([&](SiteId, SiteId dst) {
+    return dst == 0 ? ack_verdicts.at(next_ack++) : 1;
+  });
+  ReliableChannel ch(&sim, &net, ChannelParams(), 64);
+  bool ok_a = false, ok_b = false;
+  double done_a = -1, done_b = -1;
+  sim.Spawn(DoSend(&sim, &ch, 0, 1, 128, kRetryForever, &ok_a, &done_a));
+  sim.ScheduleCallbackAt(0.01, [&ch] { ch.OnEndpointCrash(0); });
+  sim.ScheduleCallbackAt(0.02, [&] {
+    sim.Spawn(DoSend(&sim, &ch, 0, 1, 128, kRetryForever, &ok_b, &done_b));
+  });
+  sim.Run();
+  EXPECT_TRUE(ok_a);
+  EXPECT_TRUE(ok_b);
+  EXPECT_NEAR(done_b, 0.07, 1e-3);
+  EXPECT_NEAR(done_a, 0.35, 1e-3);
+  EXPECT_EQ(ch.retransmissions(), 4u);  // A three times, B once
+  EXPECT_EQ(ch.dup_deliveries(), 1u);   // A@0.35, after A@0.15
+  EXPECT_EQ(ch.delivered(), 2u);
+}
+
+/// The channel's original receiver dedup, kept as a reference model: each
+/// flow remembers the set of sequence numbers it has delivered, qualified by
+/// the sender's incarnation, and each sender numbers its messages per flow.
+/// Send's timing is the channel's, step for step. It also counts the copies
+/// that were fresh only because a reset had cleared a flow's set: by a
+/// receiver crash or by a sender incarnation flap.
+class SeqSetChannel {
+ public:
+  using ChargeFn = ReliableChannel::ChargeFn;
+
+  SeqSetChannel(Simulation* sim, net::Network* net, const FaultParams& params,
+                size_t ack_bytes)
+      : sim_(sim),
+        net_(net),
+        ack_bytes_(ack_bytes),
+        params_(params),
+        incarnation_(net->num_sites(), 0) {}
+
+  void set_charge(ChargeFn fn) { charge_ = std::move(fn); }
+
+  sim::Task<bool> Send(SiteId from, SiteId to, size_t bytes,
+                       int max_retries) {
+    uint64_t key = FlowKey(from, to);
+    uint64_t seq = next_seq_[key]++;
+    uint32_t sent_inc = incarnation_[from];
+    double rto = params_.rto_initial;
+    for (int attempt = 0;; ++attempt) {
+      sim::SimTime attempt_start = sim_->Now();
+      if (attempt > 0) {
+        ++retransmissions_;
+        co_await Charge(from);
+      }
+      bool arrived = co_await net_->Transfer(from, to, bytes);
+      if (arrived) {
+        RecordDelivery(key, seq, sent_inc);
+        bool acked = co_await net_->Transfer(to, from, ack_bytes_);
+        if (acked) {
+          ++delivered_;
+          co_return true;
+        }
+        co_await Charge(to);
+      }
+      if (max_retries >= 0 && attempt >= max_retries) {
+        ++send_failures_;
+        co_return false;
+      }
+      double elapsed = sim_->Now() - attempt_start;
+      if (elapsed < rto) co_await sim_->Delay(rto - elapsed);
+      rto = std::min(rto * params_.rto_backoff, params_.rto_max);
+    }
+  }
+
+  void OnEndpointCrash(SiteId endpoint) {
+    size_t n = incarnation_.size();
+    std::erase_if(recv_, [endpoint, n](const auto& kv) {
+      return kv.first % n == static_cast<uint64_t>(endpoint);
+    });
+    std::erase_if(next_seq_, [endpoint, n](const auto& kv) {
+      return kv.first / n == static_cast<uint64_t>(endpoint);
+    });
+    ++incarnation_[endpoint];
+  }
+
+  uint64_t retransmissions() const { return retransmissions_; }
+  uint64_t send_failures() const { return send_failures_; }
+  uint64_t delivered() const { return delivered_; }
+  uint64_t dup_deliveries() const { return dup_deliveries_; }
+  uint64_t fresh_after_crash() const { return fresh_after_crash_; }
+  uint64_t fresh_after_flap() const { return fresh_after_flap_; }
+
+ private:
+  struct RecvFlow {
+    bool init = false;
+    bool flapped = false;  // the last reset was an incarnation change
+    uint32_t sender_inc = 0;
+    std::unordered_set<uint64_t> seen;
+  };
+
+  sim::Task<void> Charge(SiteId endpoint) {
+    if (charge_) co_await charge_(endpoint);
+  }
+  uint64_t FlowKey(SiteId from, SiteId to) const {
+    return static_cast<uint64_t>(from) * incarnation_.size() + to;
+  }
+  void RecordDelivery(uint64_t key, uint64_t seq, uint32_t sent_inc) {
+    RecvFlow& rf = recv_[key];
+    if (!rf.init || rf.sender_inc != sent_inc) {
+      rf.flapped = rf.init;
+      rf.init = true;
+      rf.sender_inc = sent_inc;
+      rf.seen.clear();
+    }
+    bool fresh = rf.seen.insert(seq).second;
+    bool before = !ever_.insert({key, seq, sent_inc}).second;
+    if (!fresh) {
+      ++dup_deliveries_;
+    } else if (before) {
+      ++(rf.flapped ? fresh_after_flap_ : fresh_after_crash_);
+    }
+  }
+
+  Simulation* sim_;
+  net::Network* net_;
+  ChargeFn charge_;
+  size_t ack_bytes_;
+  FaultParams params_;
+  std::vector<uint32_t> incarnation_;
+  std::unordered_map<uint64_t, uint64_t> next_seq_;
+  std::unordered_map<uint64_t, RecvFlow> recv_;
+  std::set<std::tuple<uint64_t, uint64_t, uint32_t>> ever_;
+  uint64_t retransmissions_ = 0;
+  uint64_t send_failures_ = 0;
+  uint64_t delivered_ = 0;
+  uint64_t dup_deliveries_ = 0;
+  uint64_t fresh_after_crash_ = 0;
+  uint64_t fresh_after_flap_ = 0;
+};
+
+/// A random schedule of sends and amnesia crashes on a lossy, duplicating
+/// network of a few endpoints.
+struct DedupScenario {
+  struct Message {
+    double at;
+    SiteId from;
+    SiteId to;
+    int max_retries;
+  };
+  static constexpr int kEndpoints = 4;
+  uint64_t seed;
+  std::vector<Message> messages;
+  std::vector<std::pair<double, SiteId>> crashes;
+
+  explicit DedupScenario(uint64_t s) : seed(s) {
+    sim::RandomStream rng(s);
+    const int retry_choices[] = {kRetryForever, 0, 2, 5};
+    for (int i = 0; i < 150; ++i) {
+      SiteId from = static_cast<SiteId>(rng.UniformInt(0, kEndpoints - 1));
+      SiteId to = static_cast<SiteId>(
+          (from + rng.UniformInt(1, kEndpoints - 1)) % kEndpoints);
+      messages.push_back({rng.Uniform(0, 5), from, to,
+                          retry_choices[rng.UniformInt(0, 3)]});
+    }
+    for (int i = 0; i < 10; ++i) {
+      double at = rng.Uniform(0, 5);
+      crashes.emplace_back(
+          at, static_cast<SiteId>(rng.UniformInt(0, kEndpoints - 1)));
+    }
+  }
+};
+
+template <typename Channel>
+Process DoSendOn(Simulation* sim, Channel* ch, SiteId src, SiteId dst,
+                 int retries, char* ok, double* done_at) {
+  *ok = co_await ch->Send(src, dst, 128, retries);
+  *done_at = sim->Now();
+}
+
+/// Everything a run of a scenario shows from outside the channel, plus the
+/// model's reset counts.
+struct DedupOutcome {
+  uint64_t delivered = 0;
+  uint64_t dups = 0;
+  uint64_t retransmissions = 0;
+  uint64_t send_failures = 0;
+  std::vector<char> ok;
+  std::vector<double> done;
+  uint64_t fresh_after_crash = 0;
+  uint64_t fresh_after_flap = 0;
+};
+
+/// Runs `sc` on a fresh Channel. Both channels see the same network draws:
+/// the hook's stream is seeded alike and their Send coroutines await the
+/// same steps in the same order.
+template <typename Channel>
+DedupOutcome RunDedupScenario(const DedupScenario& sc) {
+  Simulation sim;
+  net::Network net(&sim, DedupScenario::kEndpoints,
+                   net::NetworkParams{0.004, 1e6});
+  sim::RandomStream draws(sc.seed * 31 + 7);
+  net.set_fault_hook([&draws](SiteId, SiteId) {
+    if (draws.Chance(0.3)) return 0;
+    return draws.Chance(0.1) ? 2 : 1;
+  });
+  Channel ch(&sim, &net, ChannelParams(), 64);
+  // A small dedup / re-send charge, so copies also queue behind charges.
+  ch.set_charge([&sim](SiteId) -> sim::Task<void> {
+    co_await sim.Delay(0.003);
+  });
+  DedupOutcome o;
+  o.ok.assign(sc.messages.size(), 0);
+  o.done.assign(sc.messages.size(), -1);
+  for (size_t i = 0; i < sc.messages.size(); ++i) {
+    const DedupScenario::Message* m = &sc.messages[i];
+    char* ok = &o.ok[i];
+    double* done = &o.done[i];
+    sim.ScheduleCallbackAt(m->at, [&sim, &ch, m, ok, done] {
+      sim.Spawn(DoSendOn(&sim, &ch, m->from, m->to, m->max_retries, ok, done));
+    });
+  }
+  for (const auto& [at, e] : sc.crashes) {
+    SiteId endpoint = e;
+    sim.ScheduleCallbackAt(at,
+                           [&ch, endpoint] { ch.OnEndpointCrash(endpoint); });
+  }
+  sim.Run();
+  o.delivered = ch.delivered();
+  o.dups = ch.dup_deliveries();
+  o.retransmissions = ch.retransmissions();
+  o.send_failures = ch.send_failures();
+  if constexpr (std::is_same_v<Channel, SeqSetChannel>) {
+    o.fresh_after_crash = ch.fresh_after_crash();
+    o.fresh_after_flap = ch.fresh_after_flap();
+  }
+  return o;
+}
+
+TEST(ReliableChannelTest, DedupMatchesPerFlowSequenceSetModel) {
+  uint64_t dups = 0, after_crash = 0, after_flap = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    DedupScenario sc(seed);
+    DedupOutcome want = RunDedupScenario<SeqSetChannel>(sc);
+    DedupOutcome got = RunDedupScenario<ReliableChannel>(sc);
+    ASSERT_EQ(got.dups, want.dups) << "seed " << seed;
+    ASSERT_EQ(got.delivered, want.delivered) << "seed " << seed;
+    ASSERT_EQ(got.retransmissions, want.retransmissions) << "seed " << seed;
+    ASSERT_EQ(got.send_failures, want.send_failures) << "seed " << seed;
+    ASSERT_EQ(got.ok, want.ok) << "seed " << seed;
+    ASSERT_EQ(got.done, want.done) << "seed " << seed;
+    dups += want.dups;
+    after_crash += want.fresh_after_crash;
+    after_flap += want.fresh_after_flap;
+  }
+  // The schedules reach every dedup case: duplicates, copies made fresh by
+  // a receiver crash, and copies made fresh by an incarnation flap.
+  EXPECT_GT(dups, 0u);
+  EXPECT_GT(after_crash, 0u);
+  EXPECT_GT(after_flap, 0u);
 }
 
 }  // namespace
