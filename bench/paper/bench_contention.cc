@@ -31,7 +31,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("Appendix, Theorem 1: E[C] = beta * TPS/|DB|\n\n");
+  std::printf("Appendix, Theorem 1: E[C] = beta * TPS/|DB|, %llu transactions "
+              "per run\n\n",
+              static_cast<unsigned long long>(txns));
 
   analysis::ContentionParams params;  // Table 1 mix
   std::printf("beta components: p_u=%.2f p_wr=%.2f #ops=%.0f\n",

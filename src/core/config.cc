@@ -30,22 +30,48 @@ bool SystemConfig::HasReplica(db::ItemId item, db::SiteId site) const {
   return offset < k;
 }
 
+namespace {
+
+bool Fail(std::string* error, const char* format, auto... args) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf), format, args...);
+  if (error != nullptr) *error = buf;
+  return false;
+}
+
+}  // namespace
+
+bool SystemConfig::Validate(std::string* error) const {
+  if (num_sites < 1 || num_sites > kMaxSites) {
+    return Fail(error, "num_sites must be in [1, %d], got %d", kMaxSites,
+                num_sites);
+  }
+  if (!(tps > 0)) return Fail(error, "tps must be > 0, got %g", tps);
+  if (total_txns > kMaxTxns) {
+    return Fail(error, "total_txns must be at most %llu, got %llu",
+                static_cast<unsigned long long>(kMaxTxns),
+                static_cast<unsigned long long>(total_txns));
+  }
+  if (workload.items_per_site < 1) {
+    return Fail(error, "workload.items_per_site must be >= 1, got %d",
+                workload.items_per_site);
+  }
+  std::string why;
+  if (!topology.Validate(&why)) return Fail(error, "topology: %s", why.c_str());
+  // Fault specs are checked against the same topology System will build
+  // (sites plus the auxiliary graph endpoint), so an unknown partition group
+  // or an out-of-range endpoint is an error at every entry point.
+  net::Topology topo = BuildTopology();
+  topo.AddAuxEndpoint(net::AccessEdge(network));
+  if (!fault.Validate(topo, &why)) return Fail(error, "fault: %s", why.c_str());
+  return true;
+}
+
 void SystemConfig::Normalize() {
   workload.num_sites = num_sites;
   workload.replication_degree = full_replication() ? 0 : replicas_per_item();
-  LAZYREP_CHECK(num_sites >= 1 && num_sites <= kMaxSites);
-  LAZYREP_CHECK(tps > 0);
-  LAZYREP_CHECK(total_txns <= kMaxTxns);
-  LAZYREP_CHECK(workload.items_per_site >= 1);
-  std::string topo_error;
-  LAZYREP_CHECK_MSG(topology.Validate(&topo_error), topo_error.c_str());
-  // Fault specs are checked against the same topology System will build
-  // (sites plus the auxiliary graph endpoint), so an unknown partition group
-  // or an out-of-range endpoint is a hard error at every entry point.
-  net::Topology topo = BuildTopology();
-  topo.AddAuxEndpoint(net::AccessEdge(network));
-  std::string fault_error;
-  LAZYREP_CHECK_MSG(fault.Validate(topo, &fault_error), fault_error.c_str());
+  std::string error;
+  LAZYREP_CHECK_MSG(Validate(&error), error.c_str());
 }
 
 SystemConfig SystemConfig::Oc3() {

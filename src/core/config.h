@@ -122,7 +122,15 @@ struct SystemConfig {
   /// True when `site` holds a replica of `item`.
   bool HasReplica(db::ItemId item, db::SiteId site) const;
 
-  /// Validates internal consistency (e.g. workload.num_sites == num_sites).
+  /// Checks every rule a run needs: num_sites in [1, kMaxSites], tps > 0,
+  /// total_txns <= kMaxTxns, workload.items_per_site >= 1, a valid topology
+  /// spec, and fault parameters valid against the topology System builds.
+  /// On the first violation fills `error` with a message naming the field
+  /// and returns false. Changes nothing.
+  bool Validate(std::string* error) const;
+
+  /// Derives the workload's copies of the site count and replication
+  /// degree, then aborts with Validate's message on an invalid config.
   void Normalize();
 
   /// Builds the topology tree for the configured site count — sites only;

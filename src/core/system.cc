@@ -118,20 +118,17 @@ System::~System() = default;
 
 const char* System::protocol_name() const { return ProtocolKindName(kind_); }
 
-txn::Transaction* System::FindTxn(db::TxnId id) {
-  auto it = txns_.find(id);
-  return it == txns_.end() ? nullptr : it->second.get();
-}
+txn::Transaction* System::FindTxn(db::TxnId id) { return txns_.Find(id); }
 
-std::vector<db::SiteId> System::ReplicaTargets(const txn::Transaction& t,
-                                               db::SiteId except) const {
-  std::vector<db::SiteId> targets;
+void System::ReplicaTargets(const txn::Transaction& t, db::SiteId except,
+                            std::vector<db::SiteId>* targets) const {
+  targets->clear();
   if (config_.full_replication()) {
-    targets.reserve(config_.num_sites - 1);
+    targets->reserve(config_.num_sites - 1);
     for (int s = 0; s < config_.num_sites; ++s) {
-      if (s != except) targets.push_back(static_cast<db::SiteId>(s));
+      if (s != except) targets->push_back(static_cast<db::SiteId>(s));
     }
-    return targets;
+    return;
   }
   std::vector<bool> seen(config_.num_sites, false);
   for (db::ItemId item : t.write_set) {
@@ -139,12 +136,11 @@ std::vector<db::SiteId> System::ReplicaTargets(const txn::Transaction& t,
       if (!seen[s] && s != except &&
           config_.HasReplica(item, static_cast<db::SiteId>(s))) {
         seen[s] = true;
-        targets.push_back(static_cast<db::SiteId>(s));
+        targets->push_back(static_cast<db::SiteId>(s));
       }
     }
   }
-  std::sort(targets.begin(), targets.end());
-  return targets;
+  std::sort(targets->begin(), targets->end());
 }
 
 void System::NoteCommitted(txn::Transaction* t,
@@ -195,12 +191,6 @@ void System::set_trace(trace::TraceSink* sink) {
   }
 }
 
-sim::OneShot* System::CompletionShotFor(db::TxnId id) {
-  auto& shot = completion_shots_[id];
-  if (!shot) shot = std::make_unique<sim::OneShot>(&sim_);
-  return shot.get();
-}
-
 void System::OnTrackerCompleted(db::TxnId id) {
   txn::Transaction* t = FindTxn(id);
   LAZYREP_CHECK(t != nullptr);
@@ -212,9 +202,8 @@ void System::OnTrackerCompleted(db::TxnId id) {
   TraceEvent(trace::EventType::kComplete, *t, t->origin);
   site(t->origin).store.RemoveReader(t->id, t->read_set);
   protocol_->OnCompleted(t);
-  auto it = completion_shots_.find(id);
-  if (it != completion_shots_.end()) {
-    it->second->Fire(sim::WaitStatus::kSignaled);
+  if (t->on_completed != nullptr) {
+    std::exchange(t->on_completed, nullptr)->Fire(sim::WaitStatus::kSignaled);
   }
   GateRelease(*t);
 }
@@ -418,7 +407,8 @@ bool System::ReplicasConverged(std::string* why) {
 void System::DebugDumpLive(std::FILE* out) {
   static const char* kStateNames[] = {"active", "committed", "aborted",
                                       "completed"};
-  for (const auto& [id, t] : txns_) {
+  for (db::TxnId id = 1; id <= txns_.size(); ++id) {
+    const txn::Transaction* t = txns_.Find(id);
     if (t->state == txn::TxnState::kAborted ||
         t->state == txn::TxnState::kCompleted) {
       continue;
@@ -432,7 +422,7 @@ void System::DebugDumpLive(std::FILE* out) {
                  site(t->origin).locks.HeldItems(id).size());
   }
   for (int s = 0; s < config_.num_sites; ++s) {
-    for (const auto& [id, t] : txns_) {
+    for (db::TxnId id = 1; id <= txns_.size(); ++id) {
       std::vector<db::ItemId> held =
           site(static_cast<db::SiteId>(s)).locks.HeldItems(id);
       if (held.empty()) continue;
@@ -645,9 +635,7 @@ void System::Submit(db::SiteId s, sim::RandomStream* rng) {
   }
   t.measured = window_open_ && site_submitted_[s] > config_.warmup_per_site;
 
-  auto owned = std::make_unique<txn::Transaction>(std::move(t));
-  txn::Transaction* ptr = owned.get();
-  txns_.emplace(id, std::move(owned));
+  txn::Transaction* ptr = txns_.Add(std::move(t));
 
   tracker_.Register(id, s);
   protocol_->OnRegister(ptr);

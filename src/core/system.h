@@ -5,7 +5,6 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/config.h"
@@ -89,10 +88,11 @@ class System {
   Metrics& metrics() { return metrics_; }
   txn::Transaction* FindTxn(db::TxnId id);
 
-  /// Sites other than `except` that hold replicas of the transaction's write
-  /// set (full replication: all other sites).
-  std::vector<db::SiteId> ReplicaTargets(const txn::Transaction& t,
-                                         db::SiteId except) const;
+  /// Fills `targets` with the sites other than `except` that hold replicas
+  /// of the transaction's write set, ascending (full replication: all other
+  /// sites). Reuses the vector's capacity.
+  void ReplicaTargets(const txn::Transaction& t, db::SiteId except,
+                      std::vector<db::SiteId>* targets) const;
 
   // -- lifecycle hooks ----------------------------------------------------------
 
@@ -120,9 +120,12 @@ class System {
   /// registrations at the origin. Idempotent; the first call's `cause` wins.
   void NoteAborted(txn::Transaction* t, txn::AbortCause cause);
 
-  /// One-shot fired when the tracker completes the transaction (used by the
-  /// locking protocol to hold read locks until completion).
-  sim::OneShot* CompletionShotFor(db::TxnId id);
+  /// Fires `shot` the instant the tracker completes `t`, after
+  /// Protocol::OnCompleted (the locking protocol holds read locks until
+  /// then). The shot must outlive the completion.
+  void SignalOnCompletion(txn::Transaction* t, sim::OneShot* shot) {
+    t->on_completed = shot;
+  }
 
   // -- shared mechanics -----------------------------------------------------------
 
@@ -394,9 +397,9 @@ class System {
   uint64_t indoubt_commit_ = 0;
   uint64_t indoubt_abort_ = 0;
   std::unique_ptr<proto::Protocol> protocol_;
-  std::unordered_map<db::TxnId, std::unique_ptr<txn::Transaction>> txns_;
-  std::unordered_map<db::TxnId, std::unique_ptr<sim::OneShot>>
-      completion_shots_;
+  /// Every submitted transaction, by id; records live for the whole run
+  /// (HasTornReads and the crash hook look up any writer).
+  txn::TransactionArena txns_;
   HistoryRecorder* history_ = nullptr;
   trace::TraceSink* trace_ = nullptr;
 

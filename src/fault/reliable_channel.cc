@@ -23,17 +23,18 @@ uint64_t ReliableChannel::FlowKey(db::SiteId from, db::SiteId to) const {
          static_cast<uint64_t>(to);
 }
 
-bool ReliableChannel::RecordDelivery(uint64_t key, uint64_t seq,
-                                     uint32_t sent_inc) {
+bool ReliableChannel::RecordDelivery(uint64_t key, uint32_t sent_inc,
+                                     uint64_t* taken_epoch) {
   RecvFlow& rf = recv_[key];
   if (!rf.init || rf.sender_inc != sent_inc) {
-    // First contact, or the sender rebooted: its counters restarted, so the
-    // old delivered-seq set no longer applies to this incarnation.
+    // First contact since the receiver's crash, or another sender
+    // incarnation: the receiver forgets every message it has taken.
     rf.init = true;
     rf.sender_inc = sent_inc;
-    rf.seen.clear();
+    ++rf.epoch;
   }
-  bool fresh = rf.seen.insert(seq).second;
+  bool fresh = *taken_epoch != rf.epoch;
+  *taken_epoch = rf.epoch;
   if (!fresh) ++dup_deliveries_;
   return fresh;
 }
@@ -41,8 +42,8 @@ bool ReliableChannel::RecordDelivery(uint64_t key, uint64_t seq,
 sim::Task<bool> ReliableChannel::Send(db::SiteId from, db::SiteId to,
                                       size_t bytes, int max_retries) {
   uint64_t key = FlowKey(from, to);
-  uint64_t seq = next_seq_[key]++;
   uint32_t sent_inc = incarnation_[from];
+  uint64_t taken_epoch = 0;  // flow epoch the receiver last took this in
   double rto = rto_initial_;
   for (int attempt = 0;; ++attempt) {
     sim::SimTime attempt_start = sim_->Now();
@@ -52,7 +53,7 @@ sim::Task<bool> ReliableChannel::Send(db::SiteId from, db::SiteId to,
     }
     bool arrived = co_await net_->Transfer(from, to, bytes);
     if (arrived) {
-      RecordDelivery(key, seq, sent_inc);
+      RecordDelivery(key, sent_inc, &taken_epoch);
       bool acked = co_await net_->Transfer(to, from, ack_bytes_);
       if (acked) {
         ++delivered_;
@@ -74,16 +75,12 @@ sim::Task<bool> ReliableChannel::Send(db::SiteId from, db::SiteId to,
 }
 
 void ReliableChannel::OnEndpointCrash(db::SiteId endpoint) {
+  // Receiver dedup state at the crashed endpoint is volatile. The flows
+  // stay allocated and keep their epochs; the next copy starts a new one.
   size_t n = incarnation_.size();
-  // Receiver dedup state at the crashed endpoint is volatile.
-  std::erase_if(recv_, [endpoint, n](const auto& kv) {
-    return kv.first % n == static_cast<uint64_t>(endpoint);
-  });
-  // So are its sender counters; the incarnation bump keeps their restart
-  // from colliding with pre-crash sequence numbers at the receivers.
-  std::erase_if(next_seq_, [endpoint, n](const auto& kv) {
-    return kv.first / n == static_cast<uint64_t>(endpoint);
-  });
+  for (auto& [key, rf] : recv_) {
+    if (key % n == static_cast<uint64_t>(endpoint)) rf.init = false;
+  }
   ++incarnation_[endpoint];
 }
 

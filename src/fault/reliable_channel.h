@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "db/types.h"
 #include "fault/fault_params.h"
@@ -20,16 +19,20 @@ inline constexpr int kRetryForever = -1;
 
 /// Positive-acknowledgement reliable messaging over the lossy star network:
 /// every payload is answered by an ack; a lost payload or lost ack triggers
-/// retransmission after an exponentially backed-off timeout. Receivers dedup
-/// retransmitted payloads by per-flow sequence number — modeled by handing
-/// the payload to the caller exactly once (when Send resolves true) while
-/// every delivered copy still pays link occupancy and receive-CPU cost.
+/// retransmission after an exponentially backed-off timeout. The payload is
+/// handed to the caller exactly once (when Send resolves true) while every
+/// delivered copy still pays link occupancy and receive-CPU cost.
 ///
-/// Sequence numbers are qualified by the sender's *incarnation*: an amnesia
-/// crash wipes both the receiver's delivered-seq sets and the crashed
-/// sender's counters (OnEndpointCrash), and bumps the endpoint's incarnation
-/// so its restarted counters — which begin again at zero — are never
-/// mistaken for duplicates of pre-crash traffic.
+/// Receivers dedup retransmitted copies. Every copy of a message comes from
+/// one Send, so the message's identity is its Send frame: the frame holds
+/// the flow epoch in which the receiver last took the message, and a copy is
+/// a duplicate exactly when that is the flow's current epoch. A flow's epoch
+/// advances whenever its receiver forgets what it has seen: on first contact
+/// after the receiver's amnesia crash (OnEndpointCrash), and whenever a copy
+/// arrives from a sender incarnation other than the last one heard. The
+/// channel keeps no per-message state. DESIGN.md §4.3 shows this counts the
+/// same duplicates as a per-flow set of delivered (incarnation-qualified)
+/// sequence numbers.
 ///
 /// Two retry regimes:
 ///  * capped (`max_retries` >= 0): pre-commit control traffic. Exhausting the
@@ -58,10 +61,11 @@ class ReliableChannel {
   sim::Task<bool> Send(db::SiteId from, db::SiteId to, size_t bytes,
                        int max_retries);
 
-  /// Amnesia-crash hook: wipes the crashed endpoint's volatile messaging
-  /// state — its receiver dedup sets and its sender sequence counters — and
-  /// bumps its incarnation. Pure bookkeeping: schedules no events, draws no
-  /// randomness, so legacy (non-amnesia) runs are unaffected.
+  /// Amnesia-crash hook: wipes the crashed endpoint's volatile receiver
+  /// dedup state (its flows start over at their next copy) and bumps its
+  /// incarnation, so its receivers reset their flows from it too. Pure
+  /// bookkeeping: schedules no events, draws no randomness, so legacy
+  /// (non-amnesia) runs are unaffected.
   void OnEndpointCrash(db::SiteId endpoint);
 
   /// Current incarnation of `endpoint` (number of amnesia crashes).
@@ -75,23 +79,27 @@ class ReliableChannel {
   uint64_t send_failures() const { return send_failures_; }
   /// Sends that resolved true.
   uint64_t delivered() const { return delivered_; }
-  /// Copies the receiver recognized as duplicates of an already-delivered
-  /// (seq, incarnation) pair — retransmissions whose original got through.
+  /// Copies the receiver recognized as duplicates of a message it had
+  /// already taken since its flow last reset — retransmissions whose
+  /// original got through.
   uint64_t dup_deliveries() const { return dup_deliveries_; }
   void ResetStats();
 
  private:
   /// Receiver-side dedup state of one (from -> to) flow, owned by `to`.
   struct RecvFlow {
-    bool init = false;
-    uint32_t sender_inc = 0;
-    std::unordered_set<uint64_t> seen;
+    bool init = false;  ///< heard from since `to`'s last crash
+    uint32_t sender_inc = 0;  ///< incarnation of the last copy heard
+    /// Advances whenever the receiver forgets what it has taken; never
+    /// reset, so an epoch a Send remembers is never reused.
+    uint64_t epoch = 0;
   };
 
   sim::Task<void> Charge(db::SiteId endpoint);
   uint64_t FlowKey(db::SiteId from, db::SiteId to) const;
-  /// Receiver bookkeeping for one arrived copy; true when fresh.
-  bool RecordDelivery(uint64_t key, uint64_t seq, uint32_t sent_inc);
+  /// Receiver bookkeeping for one arrived copy of the message whose Send
+  /// holds `taken_epoch` (0: never taken); true when fresh.
+  bool RecordDelivery(uint64_t key, uint32_t sent_inc, uint64_t* taken_epoch);
 
   sim::Simulation* sim_;
   net::Network* net_;
@@ -102,8 +110,7 @@ class ReliableChannel {
   double rto_max_;
 
   std::vector<uint32_t> incarnation_;
-  std::unordered_map<uint64_t, uint64_t> next_seq_;  // sender side, per flow
-  std::unordered_map<uint64_t, RecvFlow> recv_;      // receiver side, per flow
+  std::unordered_map<uint64_t, RecvFlow> recv_;  // per flow, from first contact
 
   uint64_t retransmissions_ = 0;
   uint64_t send_failures_ = 0;

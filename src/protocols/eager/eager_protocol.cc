@@ -56,7 +56,9 @@ sim::Task<bool> EagerProtocol::AcquireReplicaLocks(txn::Transaction* t,
   for (int attempt = 0;; ++attempt) {
     // Sites still missing the X lock (earlier rounds' grants are kept across
     // retries — only the denied sites are re-requested).
-    std::vector<db::SiteId> targets;
+    std::vector<db::SiteId>& targets = st->targets;
+    targets.clear();
+    targets.reserve(cfg.num_sites - 1);
     for (int s = 0; s < cfg.num_sites; ++s) {
       db::SiteId dst = static_cast<db::SiteId>(s);
       if (dst == t->origin || !cfg.HasReplica(item, dst)) continue;
@@ -150,7 +152,7 @@ sim::Process EagerProtocol::Participant(txn::Transaction* t, db::SiteId dst,
   if (co_await sys_->SendCtrlReliable(dst, t->origin)) {
     pc->votes.Arrive();  // only a *delivered* YES counts
   }
-  co_await pc->outcome[idx]->Wait();
+  co_await pc->outcome[idx].Wait();
   sys_->metrics().OnEagerInDoubt(t->measured, sys_->sim().Now() - vote_at);
   // A crash during the doubt window lost everything volatile *except* this
   // transaction: the prepare record re-established it during replay, and
@@ -203,33 +205,29 @@ sim::Process EagerProtocol::BroadcastOutcome(db::SiteId origin, TwoPCPtr pc) {
 sim::Process EagerProtocol::OutcomeLeg(db::SiteId origin, TwoPCPtr pc,
                                        int idx) {
   co_await Reached(origin, pc->targets[idx], Retry::kForever);
-  pc->outcome[idx]->Fire(WaitStatus::kSignaled);
+  pc->outcome[idx].Fire(WaitStatus::kSignaled);
 }
 
 void EagerProtocol::AbortNow(txn::Transaction* t, StatePtr st,
                              txn::AbortCause cause) {
   sys_->site(t->origin).locks.ReleaseAll(t->id);
+  // Every lock leg is done by now, so granted_remote is final.
   if (!st->granted_remote.empty()) {
-    sys_->sim().Spawn(
-        ReleaseRemote(t->origin, t->id, std::move(st->granted_remote)));
-    st->granted_remote.clear();
+    sys_->sim().Spawn(ReleaseRemote(t->origin, t->id, st));
   }
   sys_->NoteAborted(t, cause);
 }
 
-sim::Process EagerProtocol::ReleaseRemote(
-    db::SiteId origin, db::TxnId id,
-    std::vector<std::pair<db::SiteId, db::ItemId>> granted) {
-  // One assured notice per distinct site; ReleaseAll there drops every X
-  // lock the transaction holds. The release must eventually arrive or the
-  // locks are stuck: retry forever.
-  std::vector<db::SiteId> sites;
-  for (const auto& [s, item] : granted) {
-    if (std::find(sites.begin(), sites.end(), s) == sites.end()) {
-      sites.push_back(s);
-    }
-  }
-  for (db::SiteId s : sites) {
+sim::Process EagerProtocol::ReleaseRemote(db::SiteId origin, db::TxnId id,
+                                          StatePtr st) {
+  // One assured notice per distinct site, in order of first grant;
+  // ReleaseAll there drops every X lock the transaction holds. The release
+  // must eventually arrive or the locks are stuck: retry forever.
+  const auto& granted = st->granted_remote;
+  for (auto it = granted.begin(); it != granted.end(); ++it) {
+    db::SiteId s = it->first;
+    auto same_site = [s](const auto& g) { return g.first == s; };
+    if (std::any_of(granted.begin(), it, same_site)) continue;
     co_await sys_->SendCtrlAssured(origin, s);
     sys_->site(s).locks.ReleaseAll(id);
   }
@@ -238,7 +236,7 @@ sim::Process EagerProtocol::ReleaseRemote(
 sim::Process EagerProtocol::Execute(txn::Transaction* t) {
   const core::SystemConfig& cfg = sys_->config();
   core::Site& origin = sys_->site(t->origin);
-  auto st = std::make_shared<ExecState>(
+  StatePtr st = states_.Acquire(
       sim::RandomStream(cfg.seed ^ (0x9e3779b97f4a7c15ULL * t->id)));
 
   // Operations execute strictly in order; a write's replica X locks are
@@ -273,9 +271,9 @@ sim::Process EagerProtocol::Execute(txn::Transaction* t) {
     co_return;
   }
 
-  std::vector<db::SiteId> targets;
-  if (t->is_update) targets = sys_->ReplicaTargets(*t, t->origin);
-  if (targets.empty()) {
+  st->targets.clear();
+  if (t->is_update) sys_->ReplicaTargets(*t, t->origin, &st->targets);
+  if (st->targets.empty()) {
     // Entirely local — read-only, or an update whose items have no other
     // replica: commit, release (strict 2PL holds to commit, not to
     // completion — the tracker's wr edges order completions instead).
@@ -294,7 +292,7 @@ sim::Process EagerProtocol::Execute(txn::Transaction* t) {
   }
 
   // -- 2PC: PREPARE / VOTE ---------------------------------------------------
-  auto pc = std::make_shared<TwoPC>(&sys_->sim(), std::move(targets));
+  TwoPCPtr pc = two_pcs_.Acquire(&sys_->sim(), st->targets);
   sys_->metrics().OnEagerPrepare(t->measured);
   sys_->TraceEvent(trace::EventType::kPrepare, *t, t->origin, 0,
                    pc->targets.size());

@@ -1,7 +1,6 @@
 #ifndef LAZYREP_PROTOCOLS_EAGER_EAGER_PROTOCOL_H_
 #define LAZYREP_PROTOCOLS_EAGER_EAGER_PROTOCOL_H_
 
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -54,7 +53,13 @@ class EagerProtocol : public Protocol {
 
  private:
   struct ExecState {
-    explicit ExecState(sim::RandomStream rng) : rng(rng) {}
+    explicit ExecState(sim::RandomStream stream) { Reset(stream); }
+    void Reset(sim::RandomStream stream) {
+      granted_remote.clear();
+      edges.clear();
+      fail_cause = txn::AbortCause::kLockTimeout;
+      rng = stream;
+    }
     /// Replica X locks granted so far, for release on abort; participants
     /// that reached the prepared state release via the outcome instead.
     std::vector<std::pair<db::SiteId, db::ItemId>> granted_remote;
@@ -64,9 +69,11 @@ class EagerProtocol : public Protocol {
     txn::AbortCause fail_cause = txn::AbortCause::kLockTimeout;
     /// Per-transaction stream for the retry backoff (seeded from the config
     /// seed and the transaction id: deterministic at any --jobs level).
-    sim::RandomStream rng;
+    sim::RandomStream rng{0};
+    /// Scratch target list: a lock round's sites, then the 2PC's.
+    std::vector<db::SiteId> targets;
   };
-  using StatePtr = std::shared_ptr<ExecState>;
+  using StatePtr = Recycler<ExecState>::Ref;
 
   /// One replica-lock round in flight. Lives on the coordinator's frame:
   /// every leg is bounded (lock waits and reliable sends both time out) and
@@ -78,22 +85,25 @@ class EagerProtocol : public Protocol {
     int unavailable = 0;
   };
 
-  /// Shared 2PC state; shared_ptr because the vote wait has a timeout, so
+  /// Shared 2PC state, recycled: the vote wait has a timeout, so
   /// participant and outcome processes can outlive the coordinator's frame.
   struct TwoPC {
-    TwoPC(sim::Simulation* sim, std::vector<db::SiteId> tgts)
-        : targets(std::move(tgts)),
-          votes(sim, static_cast<int>(targets.size())) {
-      outcome.reserve(targets.size());
-      for (size_t i = 0; i < targets.size(); ++i) {
-        outcome.push_back(std::make_unique<sim::OneShot>(sim));
-      }
+    TwoPC(sim::Simulation* sim, const std::vector<db::SiteId>& tgts)
+        : votes(sim, 0) {
+      Reset(sim, tgts);
+    }
+    void Reset(sim::Simulation* sim, const std::vector<db::SiteId>& tgts) {
+      targets.assign(tgts.begin(), tgts.end());
+      votes.Reset(static_cast<int>(targets.size()));
+      ResetShots(sim, &outcome, targets.size());
       prepared.assign(targets.size(), 0);
+      decided = false;
+      commit = false;
     }
     std::vector<db::SiteId> targets;
     sim::Countdown votes;  ///< counts delivered YES votes
     /// Per-target outcome signal; participants block on theirs in doubt.
-    std::vector<std::unique_ptr<sim::OneShot>> outcome;
+    std::vector<sim::OneShot> outcome;
     /// Targets whose PREPARE has landed or is certain to (every target when
     /// faults are off).
     std::vector<char> prepared;
@@ -106,7 +116,7 @@ class EagerProtocol : public Protocol {
       return -1;
     }
   };
-  using TwoPCPtr = std::shared_ptr<TwoPC>;
+  using TwoPCPtr = Recycler<TwoPC>::Ref;
 
   /// Acquires X on `item` at every replica site, with backoff-retry rounds.
   /// False on failure; st->fail_cause says why.
@@ -138,10 +148,12 @@ class EagerProtocol : public Protocol {
   void PresumeAbort(txn::Transaction* t, const StatePtr& st,
                     const TwoPCPtr& pc, txn::AbortCause cause);
 
-  /// Sends assured release notices for unprepared remote X locks.
-  sim::Process ReleaseRemote(
-      db::SiteId origin, db::TxnId id,
-      std::vector<std::pair<db::SiteId, db::ItemId>> granted);
+  /// Sends assured release notices for st->granted_remote (unprepared
+  /// remote X locks).
+  sim::Process ReleaseRemote(db::SiteId origin, db::TxnId id, StatePtr st);
+
+  Recycler<ExecState> states_;
+  Recycler<TwoPC> two_pcs_;
 };
 
 }  // namespace lazyrep::proto

@@ -8,6 +8,17 @@ using core::System;
 using db::LockMode;
 using sim::WaitStatus;
 
+void LockingProtocol::ExecState::Reset(sim::Simulation* sim, int num_ops) {
+  ResetShots(sim, &grants, num_ops);
+  statuses.assign(num_ops, WaitStatus{});
+  granted_remote_reads.clear();
+  granted_remote_reads.reserve(num_ops);  // one growth step, not doublings
+  edges.clear();
+  aborted = false;
+  fail_cause = txn::AbortCause::kLockTimeout;
+  completed.Reset();
+}
+
 void LockingProtocol::OnRegister(txn::Transaction* t) {
   // The origination site coordinates its own transaction's completion; the
   // remote installs are gathered through acks before the single
@@ -62,7 +73,7 @@ sim::Process LockingProtocol::FetchLock(txn::Transaction* t, int index,
     }
   }
   st->statuses[index] = status;
-  st->grants[index]->Fire(status == WaitStatus::kSignaled
+  st->grants[index].Fire(status == WaitStatus::kSignaled
                               ? WaitStatus::kSignaled
                               : WaitStatus::kCancelled);
 }
@@ -71,21 +82,19 @@ void LockingProtocol::AbortNow(txn::Transaction* t, StatePtr st,
                                txn::AbortCause cause) {
   st->aborted = true;
   sys_->site(t->origin).locks.ReleaseAll(t->id);
+  // Nothing joins granted_remote_reads once `aborted` is set.
   if (!st->granted_remote_reads.empty()) {
-    sys_->sim().Spawn(ReleaseRemoteReads(
-        t->origin, t->id, std::move(st->granted_remote_reads)));
-    st->granted_remote_reads.clear();
+    sys_->sim().Spawn(ReleaseRemoteReads(t->origin, t->id, st));
   }
   sys_->NoteAborted(t, cause);
 }
 
-sim::Process LockingProtocol::ReleaseRemoteReads(
-    db::SiteId origin, db::TxnId id,
-    std::vector<std::pair<db::SiteId, db::ItemId>> granted) {
+sim::Process LockingProtocol::ReleaseRemoteReads(db::SiteId origin,
+                                                db::TxnId id, StatePtr st) {
   // Group per site would batch messages; individual releases are rare enough
   // (abort path only) that one control message per lock is acceptable. The
   // release must eventually arrive or the lock is stuck: retry forever.
-  for (const auto& [primary, item] : granted) {
+  for (const auto& [primary, item] : st->granted_remote_reads) {
     co_await sys_->SendCtrlAssured(origin, primary);
     sys_->site(primary).locks.Release(id, item);
   }
@@ -94,7 +103,7 @@ sim::Process LockingProtocol::ReleaseRemoteReads(
 sim::Process LockingProtocol::Execute(txn::Transaction* t) {
   const core::SystemConfig& cfg = sys_->config();
   core::Site& origin = sys_->site(t->origin);
-  auto st = std::make_shared<ExecState>(t->num_ops());
+  StatePtr st = states_.Acquire(&sys_->sim(), t->num_ops());
   // §4.3 exploration: two-version readers skip read locks entirely. Unlike
   // the replication-graph protocols (whose RGtests still guard the reads),
   // the locking protocol then has no global serializability guard for
@@ -102,10 +111,6 @@ sim::Process LockingProtocol::Execute(txn::Transaction* t) {
   // approach benefits more from multiversioning, and this is why.
   const bool lock_free_reads = cfg.two_version_reads && !t->is_update;
   System::ReadVersions read_versions;
-  st->grants.reserve(t->num_ops());
-  for (int i = 0; i < t->num_ops(); ++i) {
-    st->grants.push_back(std::make_unique<sim::OneShot>(&sys_->sim()));
-  }
   if (cfg.pipelined_dispatch && !lock_free_reads) {
     for (int i = 0; i < t->num_ops(); ++i) {
       sys_->sim().Spawn(FetchLock(t, i, st));
@@ -115,11 +120,11 @@ sim::Process LockingProtocol::Execute(txn::Transaction* t) {
   for (int i = 0; i < t->num_ops(); ++i) {
     if (lock_free_reads) {
       st->statuses[i] = WaitStatus::kSignaled;
-      st->grants[i]->Fire(WaitStatus::kSignaled);
+      st->grants[i].Fire(WaitStatus::kSignaled);
     } else if (!cfg.pipelined_dispatch) {
       sys_->sim().Spawn(FetchLock(t, i, st));
     }
-    co_await st->grants[i]->Wait();
+    co_await st->grants[i].Wait();
     if (st->statuses[i] != WaitStatus::kSignaled) {
       AbortNow(t, st, st->fail_cause);
       co_return;
@@ -191,14 +196,15 @@ sim::Process LockingProtocol::Execute(txn::Transaction* t) {
     }
   }
 
-  // Create the completion shot before reporting the commit: with no pending
-  // predecessors the tracker completes the transaction synchronously, and
-  // the pre-fired shot then falls straight through the wait.
-  sim::OneShot* completed = sys_->CompletionShotFor(t->id);
+  // Register the completion shot before reporting the commit: with no
+  // pending predecessors the tracker completes the transaction
+  // synchronously, and the pre-fired shot then falls straight through the
+  // wait.
+  sys_->SignalOnCompletion(t, &st->completed);
   sys_->tracker().OnSubtxnCommitted(t->id);
   // Read locks are retained until the transaction completes [6]; completion
   // fires the shot, and OnCompleted releases the locks.
-  co_await completed->Wait();
+  co_await st->completed.Wait();
 }
 
 }  // namespace lazyrep::proto

@@ -1,7 +1,6 @@
 #ifndef LAZYREP_PROTOCOLS_LOCKING_PROTOCOL_H_
 #define LAZYREP_PROTOCOLS_LOCKING_PROTOCOL_H_
 
-#include <memory>
 #include <vector>
 
 #include "core/system.h"
@@ -33,12 +32,15 @@ class LockingProtocol : public Protocol {
 
  private:
   struct ExecState {
-    explicit ExecState(int num_ops) { statuses.resize(num_ops); }
+    ExecState(sim::Simulation* sim, int num_ops) : completed(sim) {
+      Reset(sim, num_ops);
+    }
+    void Reset(sim::Simulation* sim, int num_ops);
     /// Per-operation lock grant slots (pipelined acquisition).
-    std::vector<std::unique_ptr<sim::OneShot>> grants;
+    std::vector<sim::OneShot> grants;
     std::vector<sim::WaitStatus> statuses;
     /// Items whose (possibly remote) global read lock was granted, by
-    /// primary site, for release on abort/completion.
+    /// primary site, for release on abort.
     std::vector<std::pair<db::SiteId, db::ItemId>> granted_remote_reads;
     /// Conflict edges discovered at the origination site.
     core::System::ConflictEdges edges;
@@ -46,8 +48,10 @@ class LockingProtocol : public Protocol {
     /// Why a failed grant failed (kUnavailable when a lock-relay message
     /// exhausted its retry budget; lock timeout otherwise).
     txn::AbortCause fail_cause = txn::AbortCause::kLockTimeout;
+    /// Fired at completion: read locks are held until then.
+    sim::OneShot completed;
   };
-  using StatePtr = std::shared_ptr<ExecState>;
+  using StatePtr = Recycler<ExecState>::Ref;
 
   /// Acquires the global lock for operation `index` and fires its grant slot.
   sim::Process FetchLock(txn::Transaction* t, int index, StatePtr st);
@@ -55,10 +59,11 @@ class LockingProtocol : public Protocol {
   /// Abort path: release everything, notify the tracker and metrics.
   void AbortNow(txn::Transaction* t, StatePtr st, txn::AbortCause cause);
 
-  /// Sends asynchronous read-lock releases for remotely held locks.
-  sim::Process ReleaseRemoteReads(
-      db::SiteId origin, db::TxnId id,
-      std::vector<std::pair<db::SiteId, db::ItemId>> granted);
+  /// Sends asynchronous read-lock releases for st->granted_remote_reads.
+  sim::Process ReleaseRemoteReads(db::SiteId origin, db::TxnId id,
+                                  StatePtr st);
+
+  Recycler<ExecState> states_;
 };
 
 }  // namespace lazyrep::proto

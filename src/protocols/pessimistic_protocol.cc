@@ -13,7 +13,7 @@ sim::Process PessimisticProtocol::OpTester(txn::Transaction* t, int index,
     sys_->TraceEvent(trace::EventType::kGraphTest, *t, sys_->graph_endpoint(),
                      t->ops[index].item,
                      static_cast<uint64_t>(rg::Verdict::kUnavailable));
-    st->slots[index]->Fire(WaitStatus::kCancelled);
+    st->slots[index].Fire(WaitStatus::kCancelled);
     co_return;
   }
   rg::Verdict v = co_await sys_->graph_site()->TestOperation(
@@ -24,7 +24,7 @@ sim::Process PessimisticProtocol::OpTester(txn::Transaction* t, int index,
   sys_->TraceEvent(trace::EventType::kGraphTest, *t, sys_->graph_endpoint(),
                    t->ops[index].item, static_cast<uint64_t>(v));
   st->verdicts[index] = v;
-  st->slots[index]->Fire(v == rg::Verdict::kOk ? WaitStatus::kSignaled
+  st->slots[index].Fire(v == rg::Verdict::kOk ? WaitStatus::kSignaled
                                                : WaitStatus::kCancelled);
 }
 
@@ -39,13 +39,9 @@ sim::Process PessimisticProtocol::CommitNotice(txn::Transaction* t,
 sim::Process PessimisticProtocol::Execute(txn::Transaction* t) {
   const core::SystemConfig& cfg = sys_->config();
   core::Site& origin = sys_->site(t->origin);
-  auto st = std::make_shared<ExecState>(t->num_ops());
+  StatePtr st = states_.Acquire(&sys_->sim(), t->num_ops());
   System::ReadVersions read_versions;
   const bool lock_free_reads = cfg.two_version_reads && !t->is_update;
-  st->slots.reserve(t->num_ops());
-  for (int i = 0; i < t->num_ops(); ++i) {
-    st->slots.push_back(std::make_unique<sim::OneShot>(&sys_->sim()));
-  }
   if (cfg.pipelined_dispatch) {
     for (int i = 0; i < t->num_ops(); ++i) {
       sys_->sim().Spawn(OpTester(t, i, st));
@@ -54,7 +50,7 @@ sim::Process PessimisticProtocol::Execute(txn::Transaction* t) {
 
   for (int i = 0; i < t->num_ops(); ++i) {
     if (!cfg.pipelined_dispatch) sys_->sim().Spawn(OpTester(t, i, st));
-    co_await st->slots[i]->Wait();
+    co_await st->slots[i].Wait();
     if (st->verdicts[i] != rg::Verdict::kOk) {
       // kUnavailable: the graph site may still carry us (the request or its
       // reply was lost), so send an assured remove. Every other verdict

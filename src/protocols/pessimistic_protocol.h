@@ -1,7 +1,6 @@
 #ifndef LAZYREP_PROTOCOLS_PESSIMISTIC_PROTOCOL_H_
 #define LAZYREP_PROTOCOLS_PESSIMISTIC_PROTOCOL_H_
 
-#include <memory>
 #include <vector>
 
 #include "core/system.h"
@@ -33,12 +32,17 @@ class PessimisticProtocol : public Protocol {
 
  private:
   struct ExecState {
-    explicit ExecState(int num_ops) : verdicts(num_ops, rg::Verdict::kAbort) {}
-    std::vector<std::unique_ptr<sim::OneShot>> slots;
+    ExecState(sim::Simulation* sim, int num_ops) { Reset(sim, num_ops); }
+    void Reset(sim::Simulation* sim, int num_ops) {
+      ResetShots(sim, &slots, num_ops);
+      verdicts.assign(num_ops, rg::Verdict::kAbort);
+      edges.clear();
+    }
+    std::vector<sim::OneShot> slots;
     std::vector<rg::Verdict> verdicts;
     core::System::ConflictEdges edges;
   };
-  using StatePtr = std::shared_ptr<ExecState>;
+  using StatePtr = Recycler<ExecState>::Ref;
 
   /// Ships operation `index` to the graph site for its RGtest.
   sim::Process OpTester(txn::Transaction* t, int index, StatePtr st);
@@ -46,6 +50,8 @@ class PessimisticProtocol : public Protocol {
   /// Post-commit notification to the graph site: committed-state mark,
   /// origin conflict edges, origin subtransaction commit.
   sim::Process CommitNotice(txn::Transaction* t, StatePtr st);
+
+  Recycler<ExecState> states_;
 };
 
 }  // namespace lazyrep::proto

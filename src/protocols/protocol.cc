@@ -1,13 +1,26 @@
 #include "protocols/protocol.h"
 
+#include <algorithm>
 #include <vector>
 
 namespace lazyrep::proto {
 
+void Protocol::ResetShots(sim::Simulation* sim,
+                          std::vector<sim::OneShot>* shots, size_t n) {
+  size_t reused = std::min(n, shots->size());
+  for (size_t i = 0; i < reused; ++i) (*shots)[i].Reset();
+  if (n > shots->size()) {
+    shots->reserve(n);  // a state's shots are unarmed here: moving is safe
+    while (shots->size() < n) shots->emplace_back(sim);
+  }
+}
+
 void Protocol::CountReplicaCommits(txn::Transaction* t) {
   int remaining = 1;
   if (t->is_update) {
-    remaining += static_cast<int>(sys_->ReplicaTargets(*t, t->origin).size());
+    Recycler<SiteList>::Ref targets = site_lists_.Acquire();
+    sys_->ReplicaTargets(*t, t->origin, &targets->sites);
+    remaining += static_cast<int>(targets->sites.size());
   }
   sys_->tracker().SetRemainingCommits(t->id, remaining);
 }
@@ -56,7 +69,9 @@ Protocol::Reach Protocol::Reached(db::SiteId from, db::SiteId dst,
 
 sim::Task<void> Protocol::PropagateWrites(txn::Transaction* t, AckTo ack) {
   const core::SystemConfig& cfg = sys_->config();
-  std::vector<db::SiteId> targets = sys_->ReplicaTargets(*t, t->origin);
+  Recycler<SiteList>::Ref list = site_lists_.Acquire();
+  std::vector<db::SiteId>& targets = list->sites;
+  sys_->ReplicaTargets(*t, t->origin, &targets);
   if (targets.empty()) co_return;
   sim::Countdown acks(&sys_->sim(), static_cast<int>(targets.size()));
   sim::Countdown* origin_acks = ack == AckTo::kOrigin ? &acks : nullptr;
@@ -100,15 +115,14 @@ void Protocol::CompleteEverywhere(txn::Transaction* t) {
 
 sim::Process Protocol::AnnounceCompletion(db::TxnId id, db::SiteId origin) {
   const core::SystemConfig& cfg = sys_->config();
-  std::vector<db::SiteId> others;
-  others.reserve(cfg.num_sites - 1);
+  Recycler<SiteList>::Ref others = site_lists_.Acquire();
   for (int s = 0; s < cfg.num_sites; ++s) {
-    if (s != origin) others.push_back(static_cast<db::SiteId>(s));
+    if (s != origin) others->sites.push_back(static_cast<db::SiteId>(s));
   }
   auto start_leg = [this, id, origin](db::SiteId dst) {
     sys_->sim().Spawn(CompletionLeg(id, origin, dst));
   };
-  co_await FanOutCtrl(origin, others, start_leg);
+  co_await FanOutCtrl(origin, others->sites, start_leg);
 }
 
 sim::Process Protocol::CompletionLeg(db::TxnId id, db::SiteId origin,

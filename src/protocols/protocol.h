@@ -3,12 +3,14 @@
 
 #include <coroutine>
 #include <cstddef>
+#include <memory>
 #include <utility>
 #include <variant>
 #include <vector>
 
 #include "core/system.h"
 #include "db/types.h"
+#include "sim/check.h"
 #include "sim/condition.h"
 #include "sim/process.h"
 #include "txn/transaction.h"
@@ -81,6 +83,83 @@ class Protocol {
    private:
     std::variant<sim::Task<sim::WaitStatus>, sim::Task<bool>> step_;
   };
+
+  /// A free list of one kind of per-transaction state. Acquire(args...)
+  /// hands out a counted handle to a T: a free one re-initialized by
+  /// T::Reset(args...), or a new T(args...) when none is free. When the
+  /// last handle drops, the T goes back on the free list with its
+  /// containers' capacity intact, so a protocol's steady state allocates
+  /// nothing for it. Handles share like shared_ptr: every process that may
+  /// outlive the transaction's coroutine holds one.
+  template <typename T>
+  class Recycler {
+    struct Slot {
+      template <typename... Args>
+      explicit Slot(Recycler* r, Args&&... args)
+          : value(std::forward<Args>(args)...), home(r) {}
+      T value;
+      Recycler* home;
+      int refs = 0;
+    };
+
+   public:
+    Recycler() = default;
+    Recycler(const Recycler&) = delete;
+    Recycler& operator=(const Recycler&) = delete;
+    ~Recycler() {
+      // A state still held belongs to a process the run never finished:
+      // it stays with that process's frame, as the frame stays pending.
+      for (auto& slot : slots_) {
+        if (slot->refs > 0) (void)slot.release();
+      }
+    }
+
+    class Ref {
+     public:
+      Ref(const Ref& other) : slot_(other.slot_) { ++slot_->refs; }
+      Ref(Ref&& other) noexcept : slot_(std::exchange(other.slot_, nullptr)) {}
+      Ref& operator=(const Ref&) = delete;
+      ~Ref() {
+        if (slot_ == nullptr) return;  // moved from
+        LAZYREP_CHECK(slot_->refs > 0);
+        if (--slot_->refs == 0) slot_->home->free_.push_back(slot_);
+      }
+      T* operator->() const { return &slot_->value; }
+
+     private:
+      friend class Recycler;
+      explicit Ref(Slot* slot) : slot_(slot) { ++slot_->refs; }
+      Slot* slot_;
+    };
+
+    template <typename... Args>
+    Ref Acquire(Args&&... args) {
+      if (free_.empty()) {
+        slots_.push_back(
+            std::make_unique<Slot>(this, std::forward<Args>(args)...));
+        return Ref(slots_.back().get());
+      }
+      Slot* slot = free_.back();
+      free_.pop_back();
+      slot->value.Reset(std::forward<Args>(args)...);
+      return Ref(slot);
+    }
+
+   private:
+    std::vector<std::unique_ptr<Slot>> slots_;
+    std::vector<Slot*> free_;
+  };
+
+  /// A recycled list of target sites for one fan-out.
+  struct SiteList {
+    void Reset() { sites.clear(); }
+    std::vector<db::SiteId> sites;
+  };
+
+  /// Makes the first `n` of `shots` unfired, adding shots as needed: a
+  /// recycled state's per-operation signals.
+  static void ResetShots(sim::Simulation* sim, std::vector<sim::OneShot>* shots,
+                         size_t n);
 
   /// OnRegister for protocols whose every replica target reports its own
   /// subtransaction commit: an update commits at its origin plus every
@@ -181,6 +260,10 @@ class Protocol {
   /// The graph site's completion notice to the origination site (metrics
   /// and bookkeeping ride on the tracker; this models the message cost).
   sim::Process NotifyOrigin(db::SiteId origin);
+
+  /// Target lists of CountReplicaCommits, PropagateWrites and
+  /// AnnounceCompletion (the last two hold theirs across the fan-out).
+  Recycler<SiteList> site_lists_;
 };
 
 template <typename StartLeg>

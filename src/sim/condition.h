@@ -33,6 +33,12 @@ const char* WaitStatusName(WaitStatus status);
 class OneShot {
  public:
   explicit OneShot(Simulation* sim) : sim_(sim) {}
+  /// Moves an unarmed shot (nothing points at it), so shots can live in a
+  /// growing vector.
+  OneShot(OneShot&& other) noexcept
+      : sim_(other.sim_), status_(other.status_), fired_(other.fired_) {
+    LAZYREP_CHECK_MSG(other.waiter_ == nullptr, "OneShot moved while armed");
+  }
   OneShot(const OneShot&) = delete;
   OneShot& operator=(const OneShot&) = delete;
   ~OneShot() { LAZYREP_CHECK_MSG(waiter_ == nullptr, "OneShot destroyed armed"); }
@@ -95,6 +101,13 @@ class Countdown {
   }
 
   int remaining() const { return remaining_; }
+
+  /// Starts a fresh count of `count` on an unarmed Countdown (reuse).
+  void Reset(int count) {
+    shot_.Reset();
+    remaining_ = count;
+    if (remaining_ <= 0) shot_.Fire(WaitStatus::kSignaled);
+  }
 
   /// Waits for the count to reach zero (or timeout/cancellation).
   OneShot::Awaiter Wait(SimTime timeout = kTimeInfinity) {

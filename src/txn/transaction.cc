@@ -1,5 +1,9 @@
 #include "txn/transaction.h"
 
+#include <utility>
+
+#include "sim/check.h"
+
 namespace lazyrep::txn {
 
 const char* TxnStateName(TxnState state) {
@@ -43,6 +47,13 @@ const char* AbortCauseName(AbortCause cause) {
 void Transaction::RebuildAccessSets() {
   read_set.clear();
   write_set.clear();
+  // Exact reservations: one allocation per non-empty set, no regrowth.
+  size_t writes = 0;
+  for (const db::Operation& op : ops) {
+    if (op.type != db::OpType::kRead) ++writes;
+  }
+  read_set.reserve(ops.size() - writes);
+  write_set.reserve(writes);
   for (const db::Operation& op : ops) {
     if (op.type == db::OpType::kRead) {
       read_set.push_back(op.item);
@@ -50,6 +61,17 @@ void Transaction::RebuildAccessSets() {
       write_set.push_back(op.item);
     }
   }
+}
+
+Transaction* TransactionArena::Add(Transaction&& t) {
+  LAZYREP_CHECK(t.id == size_ + 1);
+  if (size_ % kChunk == 0) {
+    chunks_.push_back(std::make_unique<Transaction[]>(kChunk));
+  }
+  Transaction* slot = &chunks_[size_ / kChunk][size_ % kChunk];
+  *slot = std::move(t);
+  ++size_;
+  return slot;
 }
 
 }  // namespace lazyrep::txn

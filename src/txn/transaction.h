@@ -1,11 +1,17 @@
 #ifndef LAZYREP_TXN_TRANSACTION_H_
 #define LAZYREP_TXN_TRANSACTION_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "db/types.h"
 #include "sim/event_queue.h"
+
+namespace lazyrep::sim {
+class OneShot;
+}  // namespace lazyrep::sim
 
 namespace lazyrep::txn {
 
@@ -87,11 +93,39 @@ struct Transaction {
   std::vector<db::ItemId> read_set;
   std::vector<db::ItemId> write_set;
 
+  /// Fired when the transaction completes, if set (System::SignalOnCompletion).
+  sim::OneShot* on_completed = nullptr;
+
   /// Recomputes read_set/write_set from ops.
   void RebuildAccessSets();
 
   /// Number of operations.
   int num_ops() const { return static_cast<int>(ops.size()); }
+};
+
+/// Owns a run's transaction records, indexed by id. Ids are dense from 1,
+/// so the index is a vector of fixed-size chunks: a record never moves once
+/// added (protocols hold Transaction pointers), lookup is two array
+/// indexings, and adding allocates once per kChunk records.
+class TransactionArena {
+ public:
+  /// Stores `t`, whose id must be size() + 1; returns its stable address.
+  Transaction* Add(Transaction&& t);
+
+  /// The record of `id`; null when no transaction with that id was added.
+  Transaction* Find(db::TxnId id) {
+    if (id == db::kNoTxn || id > size_) return nullptr;
+    size_t i = static_cast<size_t>(id - 1);
+    return &chunks_[i / kChunk][i % kChunk];
+  }
+
+  /// Number of records (the largest id added).
+  size_t size() const { return size_; }
+
+ private:
+  static constexpr size_t kChunk = 256;
+  std::vector<std::unique_ptr<Transaction[]>> chunks_;
+  size_t size_ = 0;
 };
 
 }  // namespace lazyrep::txn

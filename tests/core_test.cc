@@ -2,6 +2,7 @@
 // placement, the MVSG serializability checker, metrics accounting, the
 // analytic contention model, and the bench option parser.
 
+#include <cmath>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -115,6 +116,85 @@ TEST(ConfigTest, ProtocolNames) {
   EXPECT_STREQ(ProtocolKindName(ProtocolKind::kLocking), "Locking");
   EXPECT_STREQ(ProtocolKindName(ProtocolKind::kPessimistic), "Pessimistic");
   EXPECT_STREQ(ProtocolKindName(ProtocolKind::kOptimistic), "Optimistic");
+}
+
+// SystemConfig::Validate names the first broken rule, one case per rule;
+// Normalize aborts with the same message.
+
+SystemConfig SmallConfig() {
+  SystemConfig c;
+  c.num_sites = 4;
+  c.workload.items_per_site = 5;
+  return c;
+}
+
+/// Validate's message for `c`, or "" when it is valid.
+std::string ValidateError(const SystemConfig& c) {
+  std::string error;
+  return c.Validate(&error) ? std::string() : error;
+}
+
+TEST(ConfigValidateTest, DefaultsAndPresetsAreValid) {
+  EXPECT_EQ(ValidateError(SystemConfig{}), "");
+  EXPECT_EQ(ValidateError(SmallConfig()), "");
+  EXPECT_EQ(ValidateError(SystemConfig::Oc3()), "");
+  EXPECT_EQ(ValidateError(SystemConfig::VsN(8)), "");
+  EXPECT_TRUE(SmallConfig().Validate(nullptr));
+}
+
+TEST(ConfigValidateTest, SiteCountOutOfRange) {
+  SystemConfig c = SmallConfig();
+  c.num_sites = 0;
+  EXPECT_EQ(ValidateError(c), "num_sites must be in [1, 65534], got 0");
+  c.num_sites = SystemConfig::kMaxSites + 1;
+  EXPECT_EQ(ValidateError(c), "num_sites must be in [1, 65534], got 65535");
+  EXPECT_FALSE(c.Validate(nullptr));
+}
+
+TEST(ConfigValidateTest, NonPositiveTps) {
+  SystemConfig c = SmallConfig();
+  c.tps = 0;
+  EXPECT_EQ(ValidateError(c), "tps must be > 0, got 0");
+  c.tps = std::nan("");
+  EXPECT_EQ(ValidateError(c).rfind("tps must be > 0", 0), 0u);
+}
+
+TEST(ConfigValidateTest, MoreTransactionsThanWriterIds) {
+  SystemConfig c = SmallConfig();
+  c.total_txns = SystemConfig::kMaxTxns;
+  EXPECT_EQ(ValidateError(c), "");
+  c.total_txns = SystemConfig::kMaxTxns + 1;
+  EXPECT_EQ(ValidateError(c),
+            "total_txns must be at most 4294967295, got 4294967296");
+}
+
+TEST(ConfigValidateTest, SitesWithoutItems) {
+  SystemConfig c = SmallConfig();
+  c.workload.items_per_site = 0;
+  EXPECT_EQ(ValidateError(c), "workload.items_per_site must be >= 1, got 0");
+}
+
+TEST(ConfigValidateTest, MalformedTopologySpec) {
+  SystemConfig c = SmallConfig();
+  c.topology.kind = net::TopologySpec::Kind::kGeo;
+  c.topology.datacenters = 0;
+  EXPECT_EQ(ValidateError(c), "topology: geo topology needs dc >= 1");
+}
+
+TEST(ConfigValidateTest, FaultSpecOutsideTheTopology) {
+  SystemConfig c = SmallConfig();
+  c.fault.crashes.push_back({/*endpoint=*/99, /*at=*/1.0, /*duration=*/1.0});
+  std::string error = ValidateError(c);
+  EXPECT_EQ(error.rfind("fault: ", 0), 0u) << error;
+  // Endpoint 4 is the graph site's: in range.
+  c.fault.crashes[0].endpoint = 4;
+  EXPECT_EQ(ValidateError(c), "");
+}
+
+TEST(ConfigValidateDeathTest, NormalizeAbortsWithTheMessage) {
+  SystemConfig c = SmallConfig();
+  c.tps = -1;
+  EXPECT_DEATH(c.Normalize(), "tps must be > 0, got -1");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 // Unit tests for the transaction model and workload generator (src/txn).
 
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -28,6 +30,36 @@ TEST(TransactionTest, RebuildAccessSetsSplitsOps) {
   EXPECT_EQ(t.read_set, (std::vector<db::ItemId>{1, 3}));
   EXPECT_EQ(t.write_set, (std::vector<db::ItemId>{2, 4}));
   EXPECT_EQ(t.num_ops(), 4);
+  // Reserved exactly: no spare capacity, so no regrowth on the way.
+  EXPECT_EQ(t.read_set.capacity(), 2u);
+  EXPECT_EQ(t.write_set.capacity(), 2u);
+}
+
+TEST(TransactionArenaTest, RecordsStayPutAcrossChunksAndFindById) {
+  TransactionArena arena;
+  std::vector<Transaction*> added;
+  for (db::TxnId id = 1; id <= 600; ++id) {  // three chunks of 256
+    Transaction t;
+    t.id = id;
+    t.origin = static_cast<db::SiteId>(id % 7);
+    added.push_back(arena.Add(std::move(t)));
+  }
+  EXPECT_EQ(arena.size(), 600u);
+  for (db::TxnId id = 1; id <= 600; ++id) {
+    Transaction* t = arena.Find(id);
+    ASSERT_EQ(t, added[id - 1]) << id;  // never moved by a later Add
+    EXPECT_EQ(t->id, id);
+    EXPECT_EQ(t->origin, id % 7);
+  }
+  EXPECT_EQ(arena.Find(db::kNoTxn), nullptr);
+  EXPECT_EQ(arena.Find(601), nullptr);
+}
+
+TEST(TransactionArenaDeathTest, IdsMustBeDenseFromOne) {
+  TransactionArena arena;
+  Transaction t;
+  t.id = 2;
+  EXPECT_DEATH(arena.Add(std::move(t)), "size_ \\+ 1");
 }
 
 TEST(TransactionTest, StateNames) {

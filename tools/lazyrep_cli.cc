@@ -391,16 +391,11 @@ int main(int argc, char** argv) {
                  config.workload.items_per_site, config.num_sites);
     return 2;
   }
-  // Validate fault specs against the topology System will build (sites plus
-  // the auxiliary graph endpoint) for a friendly error instead of the
-  // hard-check inside Normalize().
-  {
-    net::Topology topo = config.BuildTopology();
-    topo.AddAuxEndpoint(net::AccessEdge(config.network));
-    if (std::string err; !config.fault.Validate(topo, &err)) {
-      std::fprintf(stderr, "invalid fault parameters: %s\n", err.c_str());
-      return 1;
-    }
+  // Every rule Normalize() enforces (fault specs against the topology System
+  // will build included), for a named error instead of its abort.
+  if (std::string err; !config.Validate(&err)) {
+    std::fprintf(stderr, "invalid configuration: %s\n", err.c_str());
+    return 1;
   }
   config.Normalize();
 
